@@ -3,9 +3,9 @@
 // Question: how many requests/second can the serving layer ingest, and how
 // does that scale with shard count? The serial OnlineDataService is the
 // baseline (it pays the full SC update on the ingest thread); the engine
-// pays hash + bounded-queue enqueue on the ingest thread and moves the SC
-// work onto shard workers, so with k usable cores the ceiling is roughly
-// min(k, shards) × the per-shard service rate — minus queue handoff costs.
+// pays hash + ring push on the ingest thread and moves the SC work onto
+// shard workers, so with k usable cores the ceiling is roughly
+// min(k, shards) × the per-shard service rate — minus ring handoff costs.
 //
 // Methodology mirrors bench_obs_overhead: each rep replays the same stream
 // through every configuration back-to-back and the headline is the median
@@ -16,9 +16,8 @@
 //
 // Output: BENCH_engine.json (requests/sec vs shard count and vs producer
 // count — the 4-shard engine is also fed from 2 and 8 concurrent ingestion
-// sessions — serial ratio, hardware context, a mutex-queue A/B point, and
-// a telemetry-on pass reporting the pipeline-stage queue-wait/apply/e2e
-// p50/p99). Gates:
+// sessions — serial ratio, hardware context, and a telemetry-on pass
+// reporting the pipeline-stage queue-wait/apply/e2e p50/p99). Gates:
 //  * serial throughput >= 7M req/s (2x the pre-batching 3.5M baseline);
 //  * engine at 1 shard >= 0.95x serial (the span fast path keeps the
 //    transport tax under 5%), enforced only with >= 2 hardware threads —
@@ -150,8 +149,7 @@ int main(int argc, char** argv) {
   args.add_flag("items", "distinct items", "400");
   args.add_flag("servers", "servers", "16");
   args.add_flag("reps", "paired passes per configuration", "9");
-  args.add_flag("queue-cap", "per-shard queue capacity", "4096");
-  args.add_flag("batch", "max dequeue batch", "128");
+  args.add_flag("queue-cap", "per-lane ring capacity", "4096");
   args.add_flag("out", "output JSON path", "BENCH_engine.json");
   try {
     args.parse(argc, argv);
@@ -184,28 +182,23 @@ int main(int argc, char** argv) {
   struct Row {
     int shards = 0;     // 0 = serial baseline
     int producers = 1;  // concurrent ingestion sessions feeding the engine
-    QueueKind queue = QueueKind::kSpsc;
     std::vector<double> speedups;
     double best_secs = 1e100;
     Cost cost = 0.0;
   };
   std::vector<Row> rows;
-  rows.push_back({0, 1, QueueKind::kSpsc, {}, 1e100, 0.0});
+  rows.push_back({0, 1, {}, 1e100, 0.0});
   for (const int s : shard_counts) {
-    rows.push_back({s, 1, QueueKind::kSpsc, {}, 1e100, 0.0});
+    rows.push_back({s, 1, {}, 1e100, 0.0});
   }
-  // A/B point: the same 4-shard engine on the legacy shared mutex queue —
-  // quantifies what the lock-free SPSC lanes buy on this hardware.
-  rows.push_back({4, 1, QueueKind::kMutex, {}, 1e100, 0.0});
   // Producer scaling at the headline shard count: same 4-shard engine fed
-  // by 2 and 8 concurrent sessions (the 1-producer point is the row above).
+  // by 2 and 8 concurrent sessions (the 1-producer point is a row above).
   for (const int p : {2, 8}) {
-    rows.push_back({4, p, QueueKind::kSpsc, {}, 1e100, 0.0});
+    rows.push_back({4, p, {}, 1e100, 0.0});
   }
 
   EngineConfig ecfg;
   ecfg.queue_capacity = static_cast<std::size_t>(args.get_int("queue-cap"));
-  ecfg.max_batch = static_cast<std::size_t>(args.get_int("batch"));
   ecfg.deterministic = true;
 
   auto pass = [&](Row& row) {
@@ -216,7 +209,6 @@ int main(int argc, char** argv) {
       return r.secs;
     }
     ecfg.num_shards = row.shards;
-    ecfg.queue = row.queue;
     const auto r = run_engine(stream, cfg.num_servers, cm, ecfg, row.producers);
     row.best_secs = std::min(row.best_secs, r.secs);
     row.cost = r.cost;
@@ -244,9 +236,6 @@ int main(int argc, char** argv) {
                         : "engine, " + std::to_string(row.shards) + " shards";
     if (row.producers > 1) {
       name += ", " + std::to_string(row.producers) + " producers";
-    }
-    if (row.shards != 0 && row.queue == QueueKind::kMutex) {
-      name += " (mutex queue)";
     }
     t.add_row({name, Table::num(row.best_secs * 1e3, 2),
                Table::num(static_cast<double>(stream.size()) / row.best_secs / 1e6, 2),
@@ -331,19 +320,16 @@ int main(int argc, char** argv) {
         << ", \"servers\": " << cfg.num_servers << "},\n";
     out << "  \"hardware_threads\": " << hw << ",\n";
     out << "  \"reps\": " << reps << ",\n";
-    out << "  \"queue_capacity\": " << ecfg.queue_capacity
-        << ", \"max_batch\": " << ecfg.max_batch << ",\n";
+    out << "  \"queue_capacity\": " << ecfg.queue_capacity << ",\n";
     out << "  \"configs\": [\n";
     char buf[256];
     for (std::size_t i = 0; i < rows.size(); ++i) {
       std::snprintf(buf, sizeof(buf),
                     "    {\"shards\": %d, \"producers\": %d, "
-                    "\"queue\": \"%s\", \"best_seconds\": %.6f, "
+                    "\"best_seconds\": %.6f, "
                     "\"req_per_sec\": %.1f, \"median_speedup_vs_serial\": "
                     "%.4f}%s\n",
-                    rows[i].shards, rows[i].producers,
-                    rows[i].shards == 0 ? "none" : to_string(rows[i].queue),
-                    rows[i].best_secs,
+                    rows[i].shards, rows[i].producers, rows[i].best_secs,
                     static_cast<double>(stream.size()) / rows[i].best_secs,
                     med[i], i + 1 < rows.size() ? "," : "");
       out << buf;
@@ -377,10 +363,10 @@ int main(int argc, char** argv) {
   }
 
   // ---- throughput gates --------------------------------------------------
-  // rows: serial, shards {1,2,4,8} at 1 producer, the 4-shard mutex A/B
-  // point, then the producer sweep. All three gates compare best-of-pass
-  // numbers (the median ratio is contention-sensitive under parallel ctest;
-  // the best pass is what the code can actually do). Quick mode reports the
+  // rows: serial, shards {1,2,4,8} at 1 producer, then the producer sweep.
+  // All three gates compare best-of-pass numbers (the median ratio is
+  // contention-sensitive under parallel ctest; the best pass is what the
+  // code can actually do). Quick mode reports the
   // first two as SKIP for the same reason the 4-shard gate skips on small
   // hosts: a loaded smoke box measures the scheduler, not the engine.
   const std::size_t idx1 = 1;  // engine, 1 shard

@@ -6,8 +6,8 @@
 //                    [--algo=dp|quadratic|exact]
 //   trace_tool online --in=trace.csv [--mu=1] [--lambda=1] [--epoch=0]
 //   trace_tool serve --in=multi.csv [--engine --shards=4 --queue-cap=1024
-//                    --batch=64 --policy=block|drop|spill
-//                    --engine-config=shards=4,queue=1024,...
+//                    --policy=block|drop|spill
+//                    --engine-config=shards=4,cap=1024,...
 //                    --producers=4] [--verify]
 //                    [--telemetry-out=trace.json --prom-out=metrics.prom]
 //   trace_tool scenario [--scenario-config=family=flash,servers=8,...]
@@ -297,7 +297,6 @@ int cmd_serve(const ArgParser& args) {
     } else {
       cfg.num_shards = static_cast<int>(args.get_int("shards"));
       cfg.queue_capacity = static_cast<std::size_t>(args.get_int("queue-cap"));
-      cfg.max_batch = static_cast<std::size_t>(args.get_int("batch"));
       cfg.policy = parse_backpressure_policy(args.get("policy").c_str());
       cfg.deterministic = !args.get_bool("no-determinism");
     }
@@ -477,8 +476,7 @@ int main(int argc, char** argv) {
   args.add_flag("items", "items for --kind=multi", "50");
   args.add_bool_flag("engine", "serve: use the sharded streaming engine");
   args.add_flag("shards", "serve --engine: shard count (0 = hw threads)", "4");
-  args.add_flag("queue-cap", "serve --engine: per-shard queue capacity", "1024");
-  args.add_flag("batch", "serve --engine: max dequeue batch", "64");
+  args.add_flag("queue-cap", "serve --engine: per-lane ring capacity", "1024");
   args.add_flag("policy", "serve --engine: backpressure block|drop|spill", "block");
   args.add_flag("engine-config", "serve --engine: EngineConfig string (overrides the individual engine flags)");
   args.add_flag("producers", "serve --engine: concurrent ingestion sessions", "1");

@@ -165,7 +165,7 @@ else
       && ./build-tsan/examples/trace_tool gen --out=build-tsan/mp_stress.csv \
            --kind=multi --requests=4000 --items=40 --servers=6 > /dev/null \
       && ./build-tsan/examples/trace_tool serve --in=build-tsan/mp_stress.csv \
-           --engine --engine-config=shards=4,cap=64,batch=16,credits=8 \
+           --engine --engine-config=shards=4,cap=64,credits=8 \
            --producers=8 --verify > /dev/null; then
     record PASS "multi-producer TSan stress (>=8 producers, x$MULTI_PRODUCER)"
   else
@@ -190,7 +190,7 @@ else
     && ./build-tsan/examples/trace_tool gen --out=build-tsan/tele_gate.csv \
          --kind=multi --requests=3000 --items=30 --servers=6 > /dev/null \
     && ./build-tsan/examples/trace_tool serve --in=build-tsan/tele_gate.csv \
-         --engine --engine-config=shards=3,cap=64,batch=16,sample_ms=1 \
+         --engine --engine-config=shards=3,cap=64,sample_ms=1 \
          --producers=4 --telemetry-out=build-tsan/tele_gate.json \
          --prom-out=build-tsan/tele_gate.prom --verify > /dev/null \
     || TELE_OK=0

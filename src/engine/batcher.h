@@ -1,17 +1,14 @@
-// Micro-batched dequeue for shard workers.
+// Worker-side batch scratch and batch-shape statistics.
 //
-// Owns the worker-local batch buffer and the batch-shape statistics. One
-// pop_batch() amortizes a lock acquisition (and its two condvar touches)
-// over up to max_batch requests; under heavy ingest the batch naturally
-// grows toward the cap, under light load it degrades to single-request
-// pops — a latency/throughput trade the stats make visible (mean batch
-// size is the lock-amortization factor actually achieved).
+// Each worker iteration drains every lane it owns in one pass; the records
+// that pass retires form one batch. Under heavy ingest a batch grows toward
+// the lanes' combined capacity, under light load it degrades to single
+// records — a latency/throughput trade the stats make visible.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "engine/bounded_queue.h"
 #include "util/types.h"
 
 namespace mcdc {
@@ -20,7 +17,7 @@ namespace mcdc {
 /// fields land in parallel columns so (a) the ring slots retire in one
 /// head store — the producer gets its capacity back before the service
 /// work even starts — and (b) the apply loop walks three dense arrays
-/// instead of striding over 56-byte records. Reserved once to ring
+/// instead of striding over 40-byte records. Reserved once to ring
 /// capacity; clear() keeps the storage (no steady-state allocation).
 struct RequestSoA {
   std::vector<int> items;
@@ -54,35 +51,6 @@ struct BatchStats {
                ? 0.0
                : static_cast<double>(requests) / static_cast<double>(batches);
   }
-};
-
-template <typename T>
-class Microbatcher {
- public:
-  explicit Microbatcher(std::size_t max_batch) : max_batch_(max_batch) {
-    MCDC_ASSERT(max_batch > 0, "batch size must be positive");
-    buf_.reserve(max_batch);
-  }
-
-  /// Blocking: fills the internal buffer with the next batch from `q`.
-  /// An empty result means the queue is closed and drained.
-  const std::vector<T>& next(BoundedMpscQueue<T>& q) {
-    buf_.clear();
-    const std::size_t got = q.pop_batch(buf_, max_batch_);
-    if (got > 0) {
-      ++stats_.batches;
-      stats_.requests += got;
-      if (got > stats_.max_batch) stats_.max_batch = got;
-    }
-    return buf_;
-  }
-
-  const BatchStats& stats() const { return stats_; }
-
- private:
-  std::size_t max_batch_;
-  std::vector<T> buf_;
-  BatchStats stats_;
 };
 
 }  // namespace mcdc

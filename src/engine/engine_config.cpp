@@ -31,23 +31,10 @@ BackpressurePolicy parse_backpressure_policy(const char* name) {
                               " (expected block|drop|spill)");
 }
 
-const char* to_string(QueueKind kind) {
-  switch (kind) {
-    case QueueKind::kMutex:
-      return "mutex";
-    case QueueKind::kSpsc:
-      return "spsc";
-  }
-  MCDC_UNREACHABLE("bad QueueKind %d", static_cast<int>(kind));
-}
-
 std::string EngineConfig::to_string() const {
   std::string out;
   out += "shards=" + std::to_string(num_shards);
-  out += ",queue=";
-  out += mcdc::to_string(queue);
   out += ",cap=" + std::to_string(queue_capacity);
-  out += ",batch=" + std::to_string(max_batch);
   out += ",policy=";
   out += mcdc::to_string(policy);
   out += ",deterministic=";
@@ -63,8 +50,7 @@ std::string EngineConfig::to_string() const {
 EngineConfig EngineConfig::parse(const std::string& text) {
   static const std::string kCtx = "EngineConfig";
   static const std::string kKeys =
-      "shards|queue|cap|batch|policy|deterministic|credits|telemetry|"
-      "sample_ms|cost";
+      "shards|cap|policy|deterministic|credits|telemetry|sample_ms|cost";
   EngineConfig cfg;
   kvform::for_each_kv(
       kCtx, text, ',', kKeys,
@@ -72,20 +58,9 @@ EngineConfig EngineConfig::parse(const std::string& text) {
         if (key == "shards") {
           cfg.num_shards = static_cast<int>(kvform::parse_u64(
               kCtx, key, value, "a shard count >= 0; 0 = hardware threads"));
-        } else if (key == "queue") {
-          if (value == "mutex") {
-            cfg.queue = QueueKind::kMutex;
-          } else if (value == "spsc") {
-            cfg.queue = QueueKind::kSpsc;
-          } else {
-            kvform::bad_value(kCtx, key, value, "mutex|spsc");
-          }
         } else if (key == "cap") {
           cfg.queue_capacity = static_cast<std::size_t>(
               kvform::parse_u64(kCtx, key, value, "a queue capacity > 0"));
-        } else if (key == "batch") {
-          cfg.max_batch = static_cast<std::size_t>(
-              kvform::parse_u64(kCtx, key, value, "a batch size > 0"));
         } else if (key == "policy") {
           if (value != "block" && value != "drop" && value != "spill") {
             kvform::bad_value(kCtx, key, value, "block|drop|spill");

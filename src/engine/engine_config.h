@@ -8,13 +8,15 @@
 
 namespace mcdc {
 
-/// What a producer experiences when a shard's ingest queue is full.
+/// What a producer experiences when its ingest lane on a shard is full.
 enum class BackpressurePolicy {
   kBlock,  ///< wait until the shard drains — lossless, bounded memory
-  kDrop,   ///< reject the request (submit() returns false) — lossy, bounded
-  kSpill,  ///< grow past capacity, counting spilled entries — lossless,
-           ///< unbounded memory (the overflow lives in the same FIFO, so
-           ///< ordering is preserved)
+  kDrop,   ///< reject what does not fit (submit_span() returns the accepted
+           ///< count) — lossy, bounded
+  kSpill,  ///< park what does not fit in a per-lane side-car, counting
+           ///< spilled entries — lossless, unbounded memory (the worker
+           ///< splices the side-car in FIFO position, so ordering is
+           ///< preserved)
 };
 
 const char* to_string(BackpressurePolicy policy);
@@ -23,36 +25,14 @@ const char* to_string(BackpressurePolicy policy);
 /// (CLI surface for trace_tool / benches).
 BackpressurePolicy parse_backpressure_policy(const char* name);
 
-/// Ingest transport between producer sessions and shard workers.
-enum class QueueKind {
-  kMutex,  ///< PR-6 BoundedMpscQueue: one mutex-guarded FIFO per shard,
-           ///< shared by all producers. Kept as the A/B reference.
-  kSpsc,   ///< one lock-free SpscRing per producer×shard lane; the shard
-           ///< merges lanes by (time, producer, seq). Wait-free hot path.
-};
-
-const char* to_string(QueueKind kind);
-
 struct EngineConfig {
   /// Number of shards (worker threads). 0 = one per hardware thread.
   int num_shards = 4;
 
-  /// Ingest transport (string key `queue=mutex|spsc`). Backpressure
-  /// policies, producer credits, watermark merge safety, and bit-identity
-  /// to the serial service hold identically under both kinds — that
-  /// equivalence is what the A/B switch exists to demonstrate (and what
-  /// the fuzz lanes check).
-  QueueKind queue = QueueKind::kSpsc;
-
-  /// Ingest queue capacity, in requests (string key `cap=`). For kMutex
-  /// this is the per-shard shared-queue capacity; for kSpsc it is the
-  /// per-lane ring capacity, rounded up to the next power of two by the
-  /// ring itself.
+  /// Capacity of each producer×shard ingest lane, in requests (string
+  /// key `cap=`): the lane's lock-free SpscRing, rounded up to the next
+  /// power of two by the ring itself.
   std::size_t queue_capacity = 1024;
-
-  /// Max requests a worker dequeues per lock acquisition (micro-batching
-  /// amortizes the mutex over up to this many requests).
-  std::size_t max_batch = 64;
 
   BackpressurePolicy policy = BackpressurePolicy::kBlock;
 
@@ -111,7 +91,7 @@ struct EngineConfig {
   std::string cost = "hom";
 
   /// Canonical textual form of the scalar fields, e.g.
-  /// "shards=4,queue=spsc,cap=1024,batch=64,policy=block,deterministic=true,credits=0,telemetry=off,sample_ms=0,cost=hom".
+  /// "shards=4,cap=1024,policy=block,deterministic=true,credits=0,telemetry=off,sample_ms=0,cost=hom".
   /// service_options (pointers, speculation knobs) is not part of the
   /// string form. parse(to_string()) round-trips exactly (property test).
   std::string to_string() const;

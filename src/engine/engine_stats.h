@@ -2,11 +2,11 @@
 //
 // Complements the ServiceReport (which books *costs*): these describe how
 // the serving layer behaved — queue pressure, batch shapes, losses. They
-// are collected lock-free on the worker side (queue stats live under the
-// queue's own mutex, batch stats are worker-local) and snapshot after
-// finish(), so reading them costs the hot path nothing. When an observer
-// with a metrics registry is attached, the same numbers also roll up into
-// per-shard registry metrics (see docs/OBSERVABILITY.md, "Engine").
+// are collected without locks (queue counters are single-writer per lane,
+// batch stats are worker-local) and snapshot after finish(), so reading
+// them costs the hot path nothing. When an observer with a metrics
+// registry is attached, the same numbers also roll up into per-shard
+// registry metrics (see docs/OBSERVABILITY.md, "Engine").
 #pragma once
 
 #include <cstdint>
@@ -14,10 +14,21 @@
 #include <vector>
 
 #include "engine/batcher.h"
-#include "engine/bounded_queue.h"
 #include "model/cost_model.h"
 
 namespace mcdc {
+
+/// One shard's ingest-lane counters, summed over its producer lanes and
+/// assembled once after the worker joined (docs/ENGINE.md, "Queue
+/// statistics under ring lanes").
+struct QueueStats {
+  std::uint64_t enqueued = 0;   ///< accepted pushes (includes spilled)
+  std::uint64_t dropped = 0;    ///< rejected pushes (kDrop on a full ring)
+  std::uint64_t spilled = 0;    ///< pushes parked in the side-car (kSpill)
+  std::uint64_t stalls = 0;     ///< producer waits (kBlock on a full ring)
+  std::size_t max_depth = 0;    ///< sum of per-lane depth high-water marks
+  std::size_t depth = 0;        ///< depth left at snapshot time
+};
 
 struct ShardStats {
   int shard = 0;
@@ -43,7 +54,7 @@ struct ShardStats {
 /// are the backpressure signal a producer actually observes.
 struct ProducerStats {
   std::uint32_t producer = 0;
-  std::uint64_t submitted = 0;        ///< submit() calls (accepted or dropped)
+  std::uint64_t submitted = 0;        ///< records submitted (accepted or dropped)
   std::uint64_t dropped = 0;          ///< lost to kDrop backpressure
   std::uint64_t retired = 0;          ///< processed by shard workers
   std::uint64_t credit_throttles = 0; ///< submits over the credit window
@@ -56,7 +67,7 @@ struct EngineStats {
   std::vector<ShardStats> shards;
   std::vector<ProducerStats> producers;
 
-  std::uint64_t submitted = 0;  ///< submit() calls accepted or dropped
+  std::uint64_t submitted = 0;  ///< records submitted, accepted or dropped
   std::uint64_t dropped = 0;    ///< lost to kDrop backpressure
   std::uint64_t spilled = 0;    ///< pushed past capacity under kSpill
   std::uint64_t stalls = 0;     ///< producer waits under kBlock

@@ -12,20 +12,15 @@
 // ("Ingestion sessions") derives why this keeps the N-producer run
 // bit-identical to the serial service regardless of thread interleaving.
 //
-// The primary submission API is BATCHED: submit_span() stamps, sequences,
-// and enqueues a whole span of records under one queue operation per
-// shard (one ring publication, or one mutex acquisition on the
-// queue=mutex A/B path). The single-record submit() survives as a
-// one-element forwarding shim for call sites that genuinely have one
-// record in hand — it is deprecated in favour of spans.
+// The submission API is BATCHED: submit_span() stamps, sequences, and
+// enqueues a whole span of records with one ring publication per shard
+// touched. A caller with one record in hand submits a one-element span.
 //
-// Transport (EngineConfig::queue):
-//  * kSpsc (default): one lock-free SpscRing per producer×shard — each
-//    lane has exactly one writer (the session) and one reader (the shard
-//    worker), so the hot path is wait-free loads/stores (spsc_ring.h
-//    carries the memory-ordering proof). kSpill overflow lives in a
-//    mutex-guarded side-car touched only when a ring is actually full.
-//  * kMutex: the PR-6 BoundedMpscQueue, kept for A/B comparison.
+// Transport: one lock-free SpscRing per producer×shard lane — each lane
+// has exactly one writer (the session) and one reader (the shard worker),
+// so the hot path is wait-free loads/stores (spsc_ring.h carries the
+// memory-ordering proof). kSpill overflow lives in a mutex-guarded
+// side-car touched only when a ring is actually full.
 //
 // Threading contract:
 //  * open_producer() calls must all happen before the first submit
@@ -88,8 +83,8 @@ struct ProducerState {
   std::uint64_t credit_wait_ns = 0;    ///< wall time spent in throttle yields
                                        ///< (measured only with telemetry on)
 
-  /// This producer's ring lane on each shard (index = shard; empty in
-  /// queue=mutex mode). Shard-owned; filled at open_producer.
+  /// This producer's ring lane on each shard (index = shard).
+  /// Shard-owned; filled at open_producer.
   std::vector<SpscLane*> lanes;
 
   /// Producer-thread-only per-shard routing buckets for submit_span:
@@ -106,14 +101,10 @@ struct ProducerState {
   obs::Counter* m_credit_wait_ns = nullptr;  ///< telemetry only
 };
 
-/// One element of a shard's ingest lane: a stamped request, or (on the
-/// queue=mutex path only) a control marker bracketing a producer's
-/// lifetime. The spsc path needs no control records: lanes are registered
-/// directly at open_producer and a closed lane is state->closed + empty
-/// ring.
+/// One element of a shard's ingest lane: a stamped request. Lifecycle
+/// needs no in-band records: lanes are registered directly at
+/// open_producer and a closed lane is state->closed + empty ring.
 struct IngressRecord {
-  enum class Kind : std::uint8_t { kRequest, kOpen, kClose };
-
   int item = 0;
   ServerId server = 0;
   Time time = 0.0;
@@ -124,8 +115,6 @@ struct IngressRecord {
   /// deterministic merge orders strictly by (time, producer, seq) and
   /// never consults wall-clock stamps (bit-identity is stamp-blind).
   std::uint64_t submit_ns = 0;
-  Kind kind = Kind::kRequest;
-  ProducerState* state = nullptr;  ///< non-null only on kOpen
 };
 
 // Queue-slot layout guards: records are copied between producer threads,
@@ -134,20 +123,19 @@ struct IngressRecord {
 // capacity and resident-bytes figure the benches report.
 static_assert(std::is_trivially_copyable_v<IngressRecord>,
               "IngressRecord must be memcpy-safe (queue/merge-lane slots)");
-static_assert(sizeof(IngressRecord) == 56 && alignof(IngressRecord) == 8,
+static_assert(sizeof(IngressRecord) == 40 && alignof(IngressRecord) == 8,
               "IngressRecord layout changed — revisit queue capacity and "
               "resident-bytes accounting before accepting the new size");
 
-/// One producer×shard ingest lane (queue=spsc): a wait-free ring plus the
-/// spill side-car and the lane's share of QueueStats. Owned by the shard;
-/// the producer holds a raw pointer (ProducerState::lanes).
+/// One producer×shard ingest lane: a wait-free ring plus the spill
+/// side-car and the lane's share of QueueStats. Owned by the shard; the
+/// producer holds a raw pointer (ProducerState::lanes).
 ///
 /// Counter ownership is single-writer by design: `enqueued`, `dropped`,
 /// `spilled`, `stalls` are written by the producer thread only and read
 /// by the shard only after the worker joined (the drain snapshot);
 /// `max_depth_seen` is worker-only. No atomics needed, no torn reads
-/// possible — stats() publishes one post-quiesce snapshot, like the PR-6
-/// mutex queue's under-one-lock copy.
+/// possible — stats() publishes one post-quiesce snapshot.
 struct SpscLane {
   explicit SpscLane(std::size_t capacity) : ring(capacity) {}
 
@@ -166,8 +154,9 @@ struct SpscLane {
   /// common path stays lock-free. `overflow_count` mirrors the deque size
   /// so both sides can check emptiness without the lock. Ordering: the
   /// producer never pushes to the ring while overflow is non-empty, and
-  /// the worker splices overflow only after fully draining the ring —
-  /// together that keeps the lane FIFO exact (docs/ENGINE.md).
+  /// drain() splices overflow only after a ring drain that follows its
+  /// acquire of a non-zero count — together that keeps the lane FIFO
+  /// exact (docs/ENGINE.md).
   std::mutex spill_mu;
   std::deque<IngressRecord> overflow;
   std::atomic<std::size_t> overflow_count{0};
@@ -175,6 +164,26 @@ struct SpscLane {
   // Worker-side high-water sample of this lane's depth (ring + overflow),
   // taken at each drain; summed across lanes at the final snapshot.
   std::size_t max_depth_seen = 0;
+
+  /// Worker side: feed everything the lane holds to `sink` in lane FIFO
+  /// order — the ring, then the spill side-car — and return the count.
+  template <typename F>
+  std::size_t drain(F&& sink) {
+    std::size_t got = ring.consume_all(sink);
+    if (overflow_count.load(std::memory_order_acquire) > 0) {
+      // consume_all read the tail once. Since then the producer may have
+      // pushed more records into the ring and parked the rest; the acquire
+      // above makes those pushes visible, and they precede every parked
+      // record, so take them before the splice.
+      got += ring.consume_all(sink);
+      const std::lock_guard<std::mutex> lk(spill_mu);
+      for (const IngressRecord& r : overflow) sink(r);
+      got += overflow.size();
+      overflow.clear();
+      overflow_count.store(0, std::memory_order_relaxed);
+    }
+    return got;
+  }
 };
 
 /// A producer's handle into the engine. Move-only; single-threaded;
@@ -195,7 +204,7 @@ class IngressSession {
   std::uint32_t id() const;
 
   /// THE ingestion API: stamp, sequence, and enqueue a whole span of
-  /// records under one queue operation per shard touched. Validation is
+  /// records with one ring publication per shard touched. Validation is
   /// atomic — the entire span is checked (servers in range, times
   /// strictly increasing within the span and beyond this session's last
   /// time) before ANY record is enqueued, so a bad span throws
@@ -204,13 +213,6 @@ class IngressSession {
   /// without starting ingest). Returns the number of records accepted:
   /// == batch.size() unless kDrop backpressure rejected some.
   std::size_t submit_span(std::span<const MultiItemRequest> batch);
-
-  /// One-record compatibility shim over submit_span(). Returns false iff
-  /// the record was dropped by kDrop backpressure.
-  [[deprecated(
-      "submit() forwards one record through submit_span(); batch your "
-      "records and call submit_span() directly")]]
-  bool submit(int item, ServerId server, Time time);
 
   /// Announce end-of-stream: flushes any spill overflow and releases the
   /// merge from waiting on this producer's watermark. Idempotent;

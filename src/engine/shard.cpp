@@ -48,13 +48,9 @@ EngineShard::EngineShard(int index, int num_servers, const ServingCostModel& cm,
                          obs::MetricsRegistry* telemetry_registry)
     : index_(index),
       deterministic_(cfg.deterministic),
-      max_batch_(cfg.max_batch),
-      queue_kind_(cfg.queue),
       policy_(effective_policy(cfg)),
       lane_capacity_(cfg.queue_capacity),
-      service_(num_servers, cm, options),
-      queue_(cfg.queue_capacity, effective_policy(cfg)) {
-  batch_buf_.reserve(cfg.max_batch);
+      service_(num_servers, cm, options) {
   obs::Observer* ob = options.observer;
   // With telemetry on the engine always supplies a registry (the
   // observer's, or an engine-owned fallback); otherwise per-shard metrics
@@ -86,9 +82,8 @@ EngineShard::EngineShard(int index, int num_servers, const ServingCostModel& cm,
 EngineShard::~EngineShard() {
   // Abandoned (engine destroyed before finish()): unblock and join the
   // worker; any failure it recorded dies with us. The engine has already
-  // marked every producer closed, so the spsc worker's drain terminates.
+  // marked every producer closed, so the worker's drain terminates.
   if (!joined_) {
-    queue_.value.close();
     {
       const std::lock_guard<std::mutex> lk(lanes_mu_);
       stop_.store(true, std::memory_order_release);
@@ -101,14 +96,6 @@ EngineShard::~EngineShard() {
 void EngineShard::start() {
   MCDC_ASSERT(!worker_.joinable(), "shard started twice");
   worker_ = std::thread([this] { run(); });
-}
-
-bool EngineShard::enqueue(const IngressRecord& r) {
-  return queue_.value.push(r);
-}
-
-void EngineShard::enqueue_control(const IngressRecord& r) {
-  queue_.value.push_control(r);
 }
 
 SpscLane* EngineShard::add_lane(ProducerState* p) {
@@ -136,8 +123,7 @@ std::size_t EngineShard::lane_push_span(SpscLane& lane,
     case BackpressurePolicy::kBlock: {
       std::size_t done = lane.ring.try_push_span(data, n);
       if (done < n) {
-        // One stall episode per span, like the mutex queue's one condvar
-        // wait per full-queue push. The worker always drains rings (even
+        // One stall episode per span. The worker always drains rings (even
         // merge-stalled or after a failure), so this loop terminates.
         ++lane.stalls;
         std::size_t spins = 0;
@@ -185,130 +171,6 @@ std::size_t EngineShard::lane_push_span(SpscLane& lane,
 }
 
 void EngineShard::run() {
-  if (queue_kind_ == QueueKind::kSpsc) {
-    run_spsc();
-  } else {
-    run_mutex();
-  }
-}
-
-void EngineShard::run_mutex() {
-  try {
-    // Telemetry branches key off this one flag; with telemetry off the
-    // loop takes no clock reads and touches none of the rings.
-    const bool tele = (spans_ != nullptr);
-    bool stalled = false;
-    for (;;) {
-      batch_buf_.clear();
-      bool closed = false;
-      std::size_t got = 0;
-      if (stalled) {
-        // Merge is waiting on a lagging producer's watermark; wake on new
-        // records or on the poll interval, whichever comes first.
-        got = queue_.value.pop_batch_for(batch_buf_, max_batch_, kStallRecheck);
-        if (got == 0 && queue_.value.closed_and_drained()) closed = true;
-      } else {
-        got = queue_.value.pop_batch(batch_buf_, max_batch_);
-        if (got == 0) closed = true;  // pop_batch: 0 iff closed-and-drained
-      }
-      std::uint64_t t_deq = 0;
-      if (tele) {
-        t_deq = obs::telemetry_now_ns();
-        last_deq_ns_ = t_deq;
-        batch_min_submit_ns_ = ~std::uint64_t{0};
-        batch_requests_ = 0;
-      }
-      demux(batch_buf_, t_deq);
-      std::size_t total = got;
-      if (producers_seen_ > 1) {
-        // Merge-safety protocol: snapshot every open lane's watermark,
-        // THEN drain the queue completely. Afterwards any record with
-        // time <= its lane's snapshot is demultiplexed (the producer
-        // stores the watermark with release order only after the push),
-        // so an empty lane with wm_snap >= t provably has nothing at or
-        // before t anywhere — its head may be overtaken.
-        for (Lane& lane : lanes_) {
-          if (lane.open && !lane.closed && lane.state != nullptr) {
-            lane.wm_snap =
-                lane.state->watermark.load(std::memory_order_acquire);
-          }
-        }
-        batch_buf_.clear();
-        const std::size_t more = queue_.value.try_pop_all(batch_buf_);
-        if (more > 0) {
-          if (tele) last_deq_ns_ = obs::telemetry_now_ns();
-          demux(batch_buf_, last_deq_ns_);
-        }
-        total += more;
-      }
-      if (total > 0) {
-        ++batch_stats_.batches;
-        batch_stats_.requests += total;
-        if (total > batch_stats_.max_batch) batch_stats_.max_batch = total;
-        if (batch_size_ != nullptr) {
-          batch_size_->observe(static_cast<double>(total));
-        }
-        if (queue_depth_ != nullptr) {
-          queue_depth_->set(static_cast<double>(queue_.value.stats().depth));
-        }
-      }
-      if (producers_seen_ > 1 || merge_buffered_ > 0) {
-        stalled = process_eligible(closed);
-        if (merge_depth_ != nullptr) {
-          merge_depth_->set(static_cast<double>(merge_buffered_));
-        }
-      }
-      if (tele) {
-        const std::uint64_t t_end = obs::telemetry_now_ns();
-        if (batch_requests_ > 0) {
-          // One queue-wait span per batch: oldest submit stamp to
-          // dequeue (per-record detail lives in the histogram).
-          const std::uint64_t dur = last_deq_ns_ > batch_min_submit_ns_
-                                        ? last_deq_ns_ - batch_min_submit_ns_
-                                        : 0;
-          spans_->push({"queue_wait", batch_min_submit_ns_, dur,
-                        batch_requests_});
-        }
-        if (total > 0) {
-          // Apply covers dequeue through merge + service updates for
-          // everything this iteration emitted.
-          const std::uint64_t dur = t_end - t_deq;
-          apply_ns_->record(dur);
-          spans_->push({"apply", t_deq, dur, total});
-        }
-        // Merge-stall episodes: opened when the merge first parks on a
-        // lagging watermark, closed when it unstalls (or flushes).
-        if (stalled && stall_started_ns_ == 0) {
-          stall_started_ns_ = t_end;
-        } else if (!stalled && stall_started_ns_ != 0) {
-          const std::uint64_t dur = t_end - stall_started_ns_;
-          merge_stall_ns_->record(dur);
-          spans_->push({"merge_stall", stall_started_ns_, dur, 0});
-          stall_started_ns_ = 0;
-        }
-        if (shard_resident_bytes_ != nullptr && total > 0 &&
-            (++telemetry_batches_ % kResidentRefreshBatches) == 0) {
-          shard_resident_bytes_->set(
-              static_cast<double>(service_.value.resident_bytes()));
-        }
-      }
-      if (batch_emitted_ > 0) {
-        if (requests_ != nullptr) requests_->inc(batch_emitted_);
-        batch_emitted_ = 0;
-      }
-      flush_retired();
-      if (closed) break;
-    }
-  } catch (...) {
-    failure_ = std::current_exception();
-    // Keep draining so a kBlock producer stalled on our full queue cannot
-    // deadlock; the exception resurfaces from drain_and_finish().
-    std::vector<IngressRecord> discard;
-    while (queue_.value.pop_batch(discard, 1024) > 0) discard.clear();
-  }
-}
-
-void EngineShard::run_spsc() {
   // Lanes are registered (open_producer) strictly before the first
   // submit; the freeze at that first submit seals the vector, so the loop
   // below reads it without locks.
@@ -321,14 +183,14 @@ void EngineShard::run_spsc() {
   }
   if (!lanes_frozen_.load(std::memory_order_acquire)) return;  // no ingest
   try {
+    // Telemetry branches key off this one flag; with telemetry off the
+    // loop takes no clock reads and touches none of the span rings.
     const bool tele = (spans_ != nullptr);
-    // Merge lanes mirror the registered spsc lanes (all known up front —
-    // the spsc path needs no kOpen control records).
+    // Merge lanes mirror the registered ring lanes (all known up front).
     producers_seen_ = spsc_lanes_.size();
     for (const std::unique_ptr<SpscLane>& l : spsc_lanes_) {
       const std::uint32_t id = l->state->id;
       if (id >= lanes_.size()) lanes_.resize(id + 1);
-      lanes_[id].open = true;
       lanes_[id].state = l->state;
     }
     const bool single = producers_seen_ <= 1;
@@ -361,7 +223,7 @@ void EngineShard::run_spsc() {
         // snapshot >= t guarantees the drain below sees every record at
         // or before t — an empty lane with wm_snap >= t may be overtaken.
         for (Lane& lane : lanes_) {
-          if (lane.open && !lane.closed && lane.state != nullptr) {
+          if (!lane.closed && lane.state != nullptr) {
             lane.wm_snap =
                 lane.state->watermark.load(std::memory_order_acquire);
           }
@@ -405,6 +267,8 @@ void EngineShard::run_spsc() {
       if (tele) {
         const std::uint64_t t_end = obs::telemetry_now_ns();
         if (batch_requests_ > 0) {
+          // One queue-wait span per batch: oldest submit stamp to
+          // dequeue (per-record detail lives in the histogram).
           const std::uint64_t dur = last_deq_ns_ > batch_min_submit_ns_
                                         ? last_deq_ns_ - batch_min_submit_ns_
                                         : 0;
@@ -412,10 +276,14 @@ void EngineShard::run_spsc() {
                         batch_requests_});
         }
         if (total > 0) {
+          // Apply covers dequeue through merge + service updates for
+          // everything this iteration emitted.
           const std::uint64_t dur = t_end - t_deq;
           apply_ns_->record(dur);
           spans_->push({"apply", t_deq, dur, total});
         }
+        // Merge-stall episodes: opened when the merge first parks on a
+        // lagging watermark, closed when it unstalls (or flushes).
         if (stalled && stall_started_ns_ == 0) {
           stall_started_ns_ = t_end;
         } else if (!stalled && stall_started_ns_ != 0) {
@@ -457,13 +325,7 @@ void EngineShard::run_spsc() {
       const bool stopping = stop_.load(std::memory_order_acquire);
       std::size_t got = 0;
       for (const std::unique_ptr<SpscLane>& l : spsc_lanes_) {
-        got += l->ring.consume_all([](const IngressRecord&) {});
-        if (l->overflow_count.load(std::memory_order_acquire) > 0) {
-          const std::lock_guard<std::mutex> lk(l->spill_mu);
-          got += l->overflow.size();
-          l->overflow.clear();
-          l->overflow_count.store(0, std::memory_order_relaxed);
-        }
+        got += l->drain([](const IngressRecord&) {});
       }
       if (stopping) break;
       if (got == 0) std::this_thread::sleep_for(kStallRecheck);
@@ -482,7 +344,7 @@ std::size_t EngineShard::drain_lane(SpscLane& src, Lane& ml, bool single,
   auto sink = [&](const IngressRecord& r) {
     // Per-lane replay order: a session's stream reaches its shard as a
     // strictly-increasing (time, seq) FIFO — across the ring AND the
-    // spill side-car (the producer never interleaves them out of order).
+    // spill side-car (SpscLane::drain keeps them in lane order).
     MCDC_INVARIANT(!ml.saw_any ||
                        (r.time > ml.last_time && r.seq > ml.last_seq),
                    "shard %d: lane %u order broken at t=%.12g seq=%llu",
@@ -515,90 +377,7 @@ std::size_t EngineShard::drain_lane(SpscLane& src, Lane& ml, bool single,
       }
     }
   };
-  std::size_t got = src.ring.consume_all(sink);
-  // Spill side-car: spliced only after the ring is fully drained. Ring
-  // content is always older than parked content (the producer never
-  // pushes to the ring while its side-car is non-empty), so this order
-  // preserves the lane's FIFO exactly.
-  if (src.overflow_count.load(std::memory_order_acquire) > 0) {
-    const std::lock_guard<std::mutex> lk(src.spill_mu);
-    for (const IngressRecord& r : src.overflow) sink(r);
-    got += src.overflow.size();
-    src.overflow.clear();
-    src.overflow_count.store(0, std::memory_order_relaxed);
-  }
-  return got;
-}
-
-void EngineShard::demux(const std::vector<IngressRecord>& batch,
-                        std::uint64_t deq_ns) {
-  for (const IngressRecord& r : batch) {
-    switch (r.kind) {
-      case IngressRecord::Kind::kOpen: {
-        // Sessions must all be opened before the first submit, so by FIFO
-        // every kOpen precedes every data record on this queue.
-        MCDC_INVARIANT(processed_ == 0 && merge_buffered_ == 0,
-                       "shard %d: producer %u opened after ingest started",
-                       index_, r.producer);
-        if (r.producer >= lanes_.size()) lanes_.resize(r.producer + 1);
-        Lane& lane = lanes_[r.producer];
-        MCDC_INVARIANT(!lane.open, "shard %d: producer %u opened twice",
-                       index_, r.producer);
-        lane.open = true;
-        lane.state = r.state;
-        ++producers_seen_;
-        break;
-      }
-      case IngressRecord::Kind::kClose: {
-        MCDC_INVARIANT(r.producer < lanes_.size() && lanes_[r.producer].open,
-                       "shard %d: close for unknown producer %u", index_,
-                       r.producer);
-        lanes_[r.producer].closed = true;
-        break;
-      }
-      case IngressRecord::Kind::kRequest: {
-        MCDC_INVARIANT(r.producer < lanes_.size() && lanes_[r.producer].open,
-                       "shard %d: request from unopened producer %u", index_,
-                       r.producer);
-        Lane& lane = lanes_[r.producer];
-        MCDC_INVARIANT(!lane.closed,
-                       "shard %d: request from closed producer %u", index_,
-                       r.producer);
-        // Per-lane replay order: a session's stream reaches its shard as
-        // a strictly-increasing (time, seq) FIFO.
-        MCDC_INVARIANT(!lane.saw_any ||
-                           (r.time > lane.last_time && r.seq > lane.last_seq),
-                       "shard %d: lane %u order broken at t=%.12g seq=%llu",
-                       index_, r.producer, r.time,
-                       static_cast<unsigned long long>(r.seq));
-        lane.saw_any = true;
-        lane.last_time = r.time;
-        lane.last_seq = r.seq;
-        if (queue_wait_ns_ != nullptr && r.submit_ns != 0) {
-          queue_wait_ns_->record(deq_ns > r.submit_ns ? deq_ns - r.submit_ns
-                                                      : 0);
-          if (r.submit_ns < batch_min_submit_ns_) {
-            batch_min_submit_ns_ = r.submit_ns;
-          }
-          ++batch_requests_;
-        }
-        if (producers_seen_ <= 1) {
-          // Single-producer bypass: one lane is always merge-eligible, so
-          // skip the buffers and process in arrival order (the original
-          // fast path — protects the throughput gate).
-          process_record(r);
-          ++lane.retired_pending;
-        } else {
-          lane.buf.push_back(r);
-          ++merge_buffered_;
-          if (merge_buffered_ > merge_depth_max_) {
-            merge_depth_max_ = merge_buffered_;
-          }
-        }
-        break;
-      }
-    }
-  }
+  return src.drain(sink);
 }
 
 MCDC_DETERMINISTIC
@@ -644,9 +423,9 @@ bool EngineShard::process_eligible(bool flush_all) {
       // r may only be emitted if no open lane could still produce a
       // record ordered before (or tied with) it: an empty lane passes
       // when its watermark snapshot has reached r.time — everything it
-      // submitted up to that time is already demultiplexed (see run()).
+      // submitted up to that time is already drained (see run()).
       for (const Lane& lane : lanes_) {
-        if (&lane == best || !lane.open || lane.closed || !lane.buf.empty()) {
+        if (&lane == best || lane.closed || !lane.buf.empty()) {
           continue;
         }
         if (lane.wm_snap < r.time) {
@@ -668,8 +447,8 @@ MCDC_NO_ALLOC MCDC_HOT_PATH
 void EngineShard::process_record(const IngressRecord& r) {
   if (deterministic_) {
     // Merge-order contract: emitted times are non-decreasing (equal times
-    // only across distinct producers; the per-lane check in demux already
-    // guarantees strict increase within a producer).
+    // only across distinct producers; the per-lane check in drain_lane
+    // already guarantees strict increase within a producer).
     MCDC_INVARIANT(!saw_request_ || r.time >= last_time_seen_,
                    "shard %d merge order broken: t=%.12g after %.12g", index_,
                    r.time, last_time_seen_);
@@ -699,7 +478,6 @@ void EngineShard::flush_retired() {
 }
 
 ServiceReport EngineShard::drain_and_finish() {
-  queue_.value.close();
   {
     const std::lock_guard<std::mutex> lk(lanes_mu_);
     stop_.store(true, std::memory_order_release);
@@ -708,31 +486,19 @@ ServiceReport EngineShard::drain_and_finish() {
   if (worker_.joinable()) worker_.join();
   joined_ = true;
   if (failure_ != nullptr) std::rethrow_exception(failure_);
-  if (queue_kind_ == QueueKind::kSpsc) {
-    // One post-quiesce snapshot: producers and the worker are both done,
-    // so the per-lane single-writer counters are plain reads here and the
-    // assembled QueueStats is trivially torn-read-free (the ring-lane
-    // analogue of the mutex queue's under-one-lock stats copy;
-    // docs/ENGINE.md "Queue statistics under ring lanes").
-    queue_stats_ = QueueStats{};
-    for (const std::unique_ptr<SpscLane>& l : spsc_lanes_) {
-      queue_stats_.enqueued += l->enqueued;
-      queue_stats_.dropped += l->dropped;
-      queue_stats_.spilled += l->spilled;
-      queue_stats_.stalls += l->stalls;
-      queue_stats_.max_depth += l->max_depth_seen;
-      queue_stats_.depth += l->ring.size_approx() +
-                            l->overflow_count.load(std::memory_order_relaxed);
-    }
-    // The mutex transport counts one kOpen + one kClose control record
-    // per producer; lanes carry the same lifecycle out of band, so the
-    // stats keep the same meaning: 2 per registered lane.
-    queue_stats_.control = 2 * spsc_lanes_.size();
-  } else {
-    // One consistent queue snapshot (taken under the queue mutex) feeds
-    // both the registry export below and ShardStats — the counters can
-    // never disagree with each other about which instant they describe.
-    queue_stats_ = queue_.value.stats();
+  // One post-quiesce snapshot: producers and the worker are both done, so
+  // the per-lane single-writer counters are plain reads here and the
+  // assembled QueueStats is trivially torn-read-free (docs/ENGINE.md
+  // "Queue statistics under ring lanes").
+  queue_stats_ = QueueStats{};
+  for (const std::unique_ptr<SpscLane>& l : spsc_lanes_) {
+    queue_stats_.enqueued += l->enqueued;
+    queue_stats_.dropped += l->dropped;
+    queue_stats_.spilled += l->spilled;
+    queue_stats_.stalls += l->stalls;
+    queue_stats_.max_depth += l->max_depth_seen;
+    queue_stats_.depth += l->ring.size_approx() +
+                          l->overflow_count.load(std::memory_order_relaxed);
   }
   // Arena footprint at its peak — finish() releases the recording vectors
   // into the report, so sample first.
@@ -751,7 +517,6 @@ ServiceReport EngineShard::drain_and_finish() {
 }
 
 std::size_t EngineShard::queue_depth() const {
-  if (queue_kind_ == QueueKind::kMutex) return queue_.value.depth();
   // Sampler gauge: racy by nature. The lock only guards the lane vector
   // against concurrent registration (pre-freeze); the per-lane reads are
   // atomic loads.

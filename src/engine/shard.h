@@ -1,42 +1,37 @@
-// One shard of the streaming engine: an ingest transport, a worker
-// thread, and a private OnlineDataService owning every item hashed here.
+// One shard of the streaming engine: one ingest lane per producer, a
+// worker thread, and a private OnlineDataService owning every item
+// hashed here.
 //
 // Multi-producer ingestion (docs/ENGINE.md, "Ingestion sessions"): the
-// transport carries stamped IngressRecords from any number of sessions,
-// each a strictly-increasing-time FIFO of its own. The worker
-// demultiplexes records into per-producer merge lanes and emits them in
-// global (time, producer_id, seq) order — the deterministic
-// cross-producer merge that keeps the engine bit-identical to the serial
-// service no matter how producer threads interleave. A lane's head may
-// only be emitted once every other open lane either has a buffered record
-// or a watermark snapshot proving its future records are strictly later;
-// the snapshot is taken *before* a full transport drain, which is what
-// makes trusting it sound (the merge-safety argument in the doc). With a
-// single producer the worker bypasses the merge buffers entirely and
-// processes records in arrival order — the original fast path, preserved
-// bit for bit.
+// lanes carry stamped IngressRecords from any number of sessions, each a
+// strictly-increasing-time FIFO of its own. The worker drains records
+// into per-producer merge lanes and emits them in global
+// (time, producer_id, seq) order — the deterministic cross-producer merge
+// that keeps the engine bit-identical to the serial service no matter how
+// producer threads interleave. A lane's head may only be emitted once
+// every other open lane either has a buffered record or a watermark
+// snapshot proving its future records are strictly later; the snapshot is
+// taken *before* a full drain of every lane, which is what makes trusting
+// it sound (the merge-safety argument in the doc). With a single producer
+// the worker bypasses the merge buffers entirely and processes records in
+// arrival order — the original fast path, preserved bit for bit.
 //
-// Two transports (EngineConfig::queue):
-//  * kSpsc (default): one lock-free SpscRing per producer lane
-//    (registered via add_lane() at open_producer, sealed by
-//    freeze_lanes() at first submit). Producers push with wait-free span
-//    publications; the worker polls lanes, consuming each ring in one
-//    acquire/release pair. Backpressure policies keep their mutex-path
-//    semantics: kBlock spins the producer on ring space, kDrop rejects
-//    the tail of a span that does not fit, kSpill parks overflow in a
-//    per-lane locked side-car the worker splices after each full ring
-//    drain (lock touched only when a ring actually fills — the common
-//    path stays lock-free, and FIFO is exact because a producer never
-//    pushes to the ring while its overflow is non-empty).
-//  * kMutex: the PR-6 BoundedMpscQueue (one shared mutex-guarded FIFO
-//    per shard, control records bracket producer lifetimes). Kept as the
-//    A/B reference; both transports are fuzz-proven bit-identical.
+// Transport: one lock-free SpscRing per producer lane (registered via
+// add_lane() at open_producer, sealed by freeze_lanes() at first submit).
+// Producers push with wait-free span publications; the worker polls
+// lanes, consuming each ring in one acquire/release pair. kBlock spins
+// the producer on ring space, kDrop rejects the tail of a span that does
+// not fit, kSpill parks overflow in a per-lane locked side-car that
+// SpscLane::drain splices after the ring (lock touched only when a ring
+// actually fills — the common path stays lock-free, and FIFO is exact
+// because a producer never pushes to the ring while its overflow is
+// non-empty).
 //
 // Memory: the shard's service is its arena — item state lives in the
 // service-owned slab (docs/ENGINE.md "Memory model"), so steady-state
 // ingest allocates nothing on the worker thread and teardown releases the
-// whole item population chunk-wise. Both the service and the queue are
-// CachePadded: adjacent shards in the engine's array never false-share.
+// whole item population chunk-wise. The service is CachePadded: adjacent
+// shards in the engine's array never false-share.
 #pragma once
 
 #include <atomic>
@@ -50,7 +45,6 @@
 #include <vector>
 
 #include "engine/batcher.h"
-#include "engine/bounded_queue.h"
 #include "engine/engine_config.h"
 #include "engine/engine_stats.h"
 #include "engine/ingress.h"
@@ -80,25 +74,6 @@ class EngineShard {
 
   void start();
 
-  // ---- kMutex transport (engine uses these only in queue=mutex mode) ----
-
-  /// Enqueue under the shard's backpressure policy. Returns false when the
-  /// request was dropped (kDrop on a full queue). Any producer thread.
-  bool enqueue(const IngressRecord& r);
-
-  /// Enqueue a whole span under the shard's backpressure policy in ONE
-  /// lock acquisition. Returns records accepted (== n except kDrop). Any
-  /// producer thread.
-  std::size_t enqueue_span(const IngressRecord* data, std::size_t n) {
-    return queue_.value.push_span(data, n);
-  }
-
-  /// Enqueue a control marker (kOpen/kClose): never dropped, never
-  /// counted as a request. Any thread.
-  void enqueue_control(const IngressRecord& r);
-
-  // ---- kSpsc transport ----
-
   /// Register a producer's lane on this shard (open_producer; before the
   /// first submit anywhere). Returns the lane the producer pushes into;
   /// the shard keeps ownership.
@@ -115,9 +90,9 @@ class EngineShard {
   std::size_t lane_push_span(SpscLane& lane, const IngressRecord* data,
                              std::size_t n);
 
-  /// Close the transport, join the worker (rethrowing anything it threw),
-  /// and return the shard's service report (per_item ascending by item
-  /// id).
+  /// Stop the worker once every lane is closed and drained, join it
+  /// (rethrowing anything it threw), and return the shard's service report
+  /// (per_item ascending by item id).
   ServiceReport drain_and_finish();
 
   /// Valid after drain_and_finish().
@@ -125,9 +100,9 @@ class EngineShard {
 
   int index() const { return index_; }
 
-  /// Instantaneous ingest depth (any thread): queue mutex snapshot under
-  /// kMutex, sum of lane ring occupancies (+ spill side-cars) under
-  /// kSpsc. The TelemetrySampler's per-shard probe.
+  /// Instantaneous ingest depth (any thread): sum of lane ring
+  /// occupancies plus spill side-cars. The TelemetrySampler's per-shard
+  /// probe.
   std::size_t queue_depth() const;
 
   // Telemetry read-outs: null with telemetry off. The histograms are
@@ -148,12 +123,11 @@ class EngineShard {
  private:
   /// Per-producer merge lane: the FIFO of this producer's records that
   /// have reached the shard but not yet been emitted, plus the watermark
-  /// snapshot taken before the most recent full transport drain.
+  /// snapshot taken before the most recent full drain of every lane.
   struct Lane {
     std::deque<IngressRecord> buf;
     ProducerState* state = nullptr;
     double wm_snap = 0.0;
-    bool open = false;
     bool closed = false;
     Time last_time = 0.0;       ///< per-lane replay-order check
     std::uint64_t last_seq = 0;
@@ -162,18 +136,13 @@ class EngineShard {
   };
 
   void run();
-  void run_mutex();
-  void run_spsc();
-  /// Consume everything in `src` (ring, then spill side-car): demux into
-  /// the merge lane `ml`, or — single-producer — into the SoA scratch
-  /// (telemetry off) / straight through process_record (telemetry on).
-  /// `deq_ns` feeds the queue-wait histogram (0 with telemetry off).
+  /// Consume everything in `src` (SpscLane::drain): buffer into the merge
+  /// lane `ml`, or — single-producer — into the SoA scratch (telemetry
+  /// off) / straight through process_record (telemetry on). `deq_ns`
+  /// feeds the queue-wait histogram (0 with telemetry off).
   std::size_t drain_lane(SpscLane& src, Lane& ml, bool single,
                          std::uint64_t deq_ns);
-  /// `deq_ns` is the dequeue timestamp feeding the queue-wait histogram
-  /// (0 with telemetry off).
-  void demux(const std::vector<IngressRecord>& batch, std::uint64_t deq_ns);
-  /// Emit every merge-eligible record; with `flush_all` (transport closed
+  /// Emit every merge-eligible record; with `flush_all` (every lane closed
   /// and drained — no further input can exist) lanes are treated as
   /// closed. Returns true when records remain parked (merge stalled).
   bool process_eligible(bool flush_all);
@@ -191,17 +160,14 @@ class EngineShard {
 
   const int index_;
   const bool deterministic_;
-  const std::size_t max_batch_;
-  const QueueKind queue_kind_;
   const BackpressurePolicy policy_;  ///< effective (deterministic kDrop->kBlock)
-  const std::size_t lane_capacity_;  ///< per-lane ring capacity (kSpsc)
+  const std::size_t lane_capacity_;  ///< per-lane ring capacity
   CachePadded<OnlineDataService> service_;
-  CachePadded<BoundedMpscQueue<IngressRecord>> queue_;
   std::thread worker_;
   std::exception_ptr failure_;
   bool joined_ = false;
 
-  // kSpsc lane registry: mutated only under lanes_mu_ and only before
+  // Lane registry: mutated only under lanes_mu_ and only before
   // freeze_lanes(); the worker waits on the condvar for the freeze (or
   // stop) and then reads the vector lock-free.
   mutable std::mutex lanes_mu_;
@@ -211,7 +177,6 @@ class EngineShard {
   std::atomic<bool> stop_{false};
 
   // Worker-local state.
-  std::vector<IngressRecord> batch_buf_;
   RequestSoA soa_;
   BatchStats batch_stats_;
   std::vector<Lane> lanes_;

@@ -30,17 +30,12 @@ std::size_t StreamingEngine::shard_of(int item, int num_shards) {
 
 StreamingEngine::StreamingEngine(int num_servers, const ServingCostModel& cm,
                                  const EngineConfig& cfg)
-    : num_servers_(num_servers),
-      queue_kind_(cfg.queue),
-      credits_(cfg.producer_credits) {
+    : num_servers_(num_servers), credits_(cfg.producer_credits) {
   if (num_servers <= 0) {
     throw std::invalid_argument("StreamingEngine: need at least one server");
   }
   if (cfg.queue_capacity == 0) {
     throw std::invalid_argument("StreamingEngine: queue_capacity must be > 0");
-  }
-  if (cfg.max_batch == 0) {
-    throw std::invalid_argument("StreamingEngine: max_batch must be > 0");
   }
   // Resolve the effective cost model: constructor-supplied vs the
   // EngineConfig::cost string. Exactly one may be heterogeneous.
@@ -104,7 +99,7 @@ StreamingEngine::~StreamingEngine() {
   // that may have started it.
   std::call_once(sampler_once_, [] {});
   if (sampler_ != nullptr) sampler_->stop();
-  // Abandoned sessions must not push into queues that are about to close;
+  // Abandoned sessions must not keep the workers waiting on their lanes;
   // marking every producer closed turns their close() into a no-op.
   for (auto& p : producers_) p->closed.store(true, std::memory_order_release);
   // Workers retire into ProducerState, and producers_ (declared later) is
@@ -138,24 +133,14 @@ IngressSession StreamingEngine::open_producer() {
     }
   }
   producers_.push_back(std::move(owned));
-  // Per-shard routing buckets for submit_span (both transports bucket the
-  // same way; capacity grows to the largest span ever routed).
+  // Per-shard routing buckets for submit_span (capacity grows to the
+  // largest span ever routed).
   p->scratch.resize(shards_.size());
-  if (queue_kind_ == QueueKind::kSpsc) {
-    // Register this producer's ring lane on every shard. No control
-    // records: the lane set is sealed at the first submit (freeze_once_)
-    // and a closed lane is state->closed + empty ring.
-    p->lanes.reserve(shards_.size());
-    for (auto& s : shards_) p->lanes.push_back(s->add_lane(p));
-  } else {
-    // Announce the lane to every shard. All opens precede the first
-    // submit, so by queue FIFO every kOpen precedes every data record.
-    IngressRecord open;
-    open.kind = IngressRecord::Kind::kOpen;
-    open.producer = p->id;
-    open.state = p;
-    for (auto& s : shards_) s->enqueue_control(open);
-  }
+  // Register this producer's ring lane on every shard. The lane set is
+  // sealed at the first submit (freeze_once_) and a closed lane is
+  // state->closed + empty ring.
+  p->lanes.reserve(shards_.size());
+  for (auto& s : shards_) p->lanes.push_back(s->add_lane(p));
   return IngressSession(this, p);
 }
 
@@ -180,13 +165,11 @@ std::size_t StreamingEngine::submit_span_from(
     prev = r.time;
   }
   ingest_started_.store(true, std::memory_order_release);
-  if (queue_kind_ == QueueKind::kSpsc) {
-    // First submit anywhere seals the lane sets: workers scan the lane
-    // vectors lock-free from here on.
-    std::call_once(freeze_once_, [this] {
-      for (auto& s : shards_) s->freeze_lanes();
-    });
-  }
+  // First submit anywhere seals the lane sets: workers scan the lane
+  // vectors lock-free from here on.
+  std::call_once(freeze_once_, [this] {
+    for (auto& s : shards_) s->freeze_lanes();
+  });
   const bool tele = telemetry_registry_ != nullptr;
   if (tele && sample_ms_ > 0) {
     // Every producer is open by now (open_producer throws after the first
@@ -223,13 +206,8 @@ std::size_t StreamingEngine::submit_span_from(
   for (int s = 0; s < nsh; ++s) {
     const std::vector<IngressRecord>& bucket = p.scratch[static_cast<std::size_t>(s)];
     if (bucket.empty()) continue;
-    if (queue_kind_ == QueueKind::kSpsc) {
-      accepted += shards_[static_cast<std::size_t>(s)]->lane_push_span(
-          *p.lanes[static_cast<std::size_t>(s)], bucket.data(), bucket.size());
-    } else {
-      accepted += shards_[static_cast<std::size_t>(s)]->enqueue_span(
-          bucket.data(), bucket.size());
-    }
+    accepted += shards_[static_cast<std::size_t>(s)]->lane_push_span(
+        *p.lanes[static_cast<std::size_t>(s)], bucket.data(), bucket.size());
   }
   const std::uint64_t lost = batch.size() - accepted;
   if (lost > 0) p.dropped.fetch_add(lost, std::memory_order_relaxed);
@@ -282,15 +260,9 @@ void StreamingEngine::close_producer(ProducerState* p) {
   if (p->closed.exchange(true, std::memory_order_acq_rel)) return;
   // Exactly one closer (the session's thread, or finish() after the
   // quiesce) announces end-of-stream and publishes the session's metrics.
-  // kSpsc needs no marker: the exchange above is a release store that
-  // follows every push, so a worker that acquire-observes closed and then
-  // drains the lane provably consumes the final records.
-  if (queue_kind_ == QueueKind::kMutex) {
-    IngressRecord rec;
-    rec.kind = IngressRecord::Kind::kClose;
-    rec.producer = p->id;
-    for (auto& s : shards_) s->enqueue_control(rec);
-  }
+  // The exchange above is a release store that follows every push, so a
+  // worker that acquire-observes closed and then drains the lane provably
+  // consumes the final records.
   if (p->m_submitted != nullptr) {
     p->m_submitted->inc(p->submitted.load(std::memory_order_relaxed));
   }
@@ -311,7 +283,7 @@ ServiceReport StreamingEngine::finish() {
   std::call_once(sampler_once_, [] {});
   if (sampler_ != nullptr) sampler_->stop();
   // Force-close stragglers so no shard merge is left waiting on an open
-  // lane's watermark; then close the queues and join the workers.
+  // lane's watermark; then stop and join the workers.
   for (auto& p : producers_) close_producer(p.get());
 
   ServiceReport rep;
@@ -387,7 +359,7 @@ void StreamingEngine::start_sampler() {
   // Probe closures capture raw pointers into shards_/producers_ — safe
   // because finish() and the destructor stop the sampler before either is
   // torn down. All allocation happens here, once; the tick loop only
-  // reads atomics and takes the queue mutexes.
+  // reads atomics and takes the shards' lane-registry locks.
   std::vector<obs::TelemetrySampler::Source> sources;
   std::vector<obs::Gauge*> resident;
   resident.reserve(shards_.size());
@@ -535,15 +507,6 @@ std::size_t IngressSession::submit_span(
     throw std::logic_error("IngressSession: invalid (moved-from) session");
   }
   return engine_->submit_span_from(*state_, batch);
-}
-
-bool IngressSession::submit(int item, ServerId server, Time time) {
-  if (state_ == nullptr) {
-    throw std::logic_error("IngressSession: invalid (moved-from) session");
-  }
-  const MultiItemRequest one{item, server, time};
-  return engine_->submit_span_from(
-             *state_, std::span<const MultiItemRequest>(&one, 1)) == 1;
 }
 
 void IngressSession::close() {

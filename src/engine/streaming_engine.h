@@ -5,21 +5,19 @@
 // trace replay, a ceiling for "heavy traffic" streams. Under the
 // homogeneous cost model items are independent (the service layer already
 // exploits this), so the stream can be hash-partitioned by item id onto N
-// shards, each an OnlineDataService of its own behind an ingest
-// transport: producers pay only stamp + hash + publish, the SC work
-// proceeds on N worker threads, and no cross-shard coordination ever
-// happens because no item spans shards. The default transport is a
-// lock-free SPSC ring per producer×shard lane (EngineConfig::queue =
-// kSpsc); the PR-6 mutex queue survives as the A/B reference (kMutex).
+// shards, each an OnlineDataService of its own behind its ingest lanes:
+// producers pay only stamp + hash + publish, the SC work proceeds on N
+// worker threads, and no cross-shard coordination ever happens because no
+// item spans shards. Each producer×shard lane is a lock-free SPSC ring.
 //
 // Ingestion is organized around producer sessions (engine/ingress.h):
 // open_producer() hands out an IngressSession per request source; each
 // session stamps its submissions with a per-producer monotone sequence
 // number and shard workers merge the per-producer FIFOs back into one
 // time-ordered stream with a deterministic (producer_id, seq) tie-break
-// on equal timestamps. The primary submission API is the batched
+// on equal timestamps. The submission API is the batched
 // IngressSession::submit_span() — one validation pass, one credit check,
-// one queue publication per shard touched, and one watermark advance for
+// one ring publication per shard touched, and one watermark advance for
 // a whole span of records. All sessions must be opened before the first
 // submit anywhere on the engine; each session is single-threaded, and
 // distinct sessions may submit concurrently from distinct threads.
@@ -84,7 +82,7 @@ class StreamingEngine {
   /// session left open.
   IngressSession open_producer();
 
-  /// Close all sessions and queues, join all workers (rethrowing the
+  /// Close all sessions, join all workers (rethrowing the
   /// first worker failure), and merge the per-shard reports into one
   /// ServiceReport whose per_item is ascending by item id and whose
   /// totals satisfy the finalize_report reconciliation invariant. All
@@ -139,7 +137,7 @@ class StreamingEngine {
   /// The session submit path: validates the WHOLE span first (nothing is
   /// enqueued on a bad span), stamps (producer, seq), applies the soft
   /// credit window once, buckets records per shard, enqueues each bucket
-  /// in one queue operation, then advances the watermark once to the
+  /// in one ring publication, then advances the watermark once to the
   /// span's last time. Returns records accepted (== batch.size() except
   /// under kDrop).
   std::size_t submit_span_from(ProducerState& p,
@@ -151,8 +149,8 @@ class StreamingEngine {
   /// a yield, and — with `tele` — telemetry clock reads only.
   void credit_throttle(ProducerState& p, bool tele);
 
-  /// Idempotent: first closer broadcasts the kClose marker to every shard
-  /// and publishes the session's metrics.
+  /// Idempotent: first closer marks the session closed (the workers'
+  /// end-of-lane signal) and publishes the session's metrics.
   void close_producer(ProducerState* p);
 
   /// Builds the sampler's probe set (every producer is open by the first
@@ -161,12 +159,11 @@ class StreamingEngine {
   void start_sampler();
 
   int num_servers_;
-  QueueKind queue_kind_ = QueueKind::kSpsc;
   std::size_t credits_ = 0;
   std::size_t sample_ms_ = 0;
   std::vector<std::unique_ptr<EngineShard>> shards_;
 
-  /// First submit anywhere seals the spsc lane sets (the merge needs the
+  /// First submit anywhere seals the lane sets (the merge needs the
   /// full producer population before it can order anything; freezing lets
   /// workers scan lanes lock-free thereafter).
   std::once_flag freeze_once_;

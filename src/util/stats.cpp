@@ -84,43 +84,6 @@ std::string Summary::to_string() const {
   return os.str();
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0) throw std::invalid_argument("Histogram: bins must be > 0");
-  if (!(lo < hi)) throw std::invalid_argument("Histogram: lo must be < hi");
-}
-
-void Histogram::add(double x) {
-  const double f = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(f * static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-std::string Histogram::render(std::size_t width) const {
-  std::size_t peak = 0;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar =
-        peak ? counts_[i] * width / peak : 0;
-    os.setf(std::ios::fixed);
-    os.precision(3);
-    os << "[" << bin_lo(i) << ", " << bin_hi(i) << ") ";
-    for (std::size_t b = 0; b < bar; ++b) os << '#';
-    os << " " << counts_[i] << "\n";
-  }
-  return os.str();
-}
-
 double loglog_slope(const std::vector<double>& x, const std::vector<double>& y) {
   if (x.size() != y.size() || x.size() < 2) {
     throw std::invalid_argument("loglog_slope: need >= 2 matching points");

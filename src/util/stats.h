@@ -51,27 +51,6 @@ struct Summary {
 
 Summary summarize(const std::vector<double>& values);
 
-/// Equal-width histogram over [lo, hi]; values outside clamp to end bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-
-  /// Render a compact ASCII bar chart (for bench harness output).
-  std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 /// Least-squares slope of log(y) vs log(x): empirical scaling exponent.
 /// Used by bench_scaling to check the O(mn) claim (exponent ~= 1).
 double loglog_slope(const std::vector<double>& x, const std::vector<double>& y);

@@ -284,16 +284,17 @@ TEST(FuzzDifferential, EngineBitIdenticalToSerial) {
     ecfg.num_shards = 1 + static_cast<int>(rng.uniform_int(std::uint64_t{6}));
     ecfg.queue_capacity = std::size_t{1}
                           << rng.uniform_int(std::uint64_t{8});  // 1..128
-    ecfg.max_batch = 1 + rng.uniform_int(std::uint64_t{16});
+    // Discarded draw: it once sized a dequeue batch. Consuming it keeps
+    // every seed's spans and config identical to earlier runs of this
+    // lane, so a recorded failing seed still reproduces the same case.
+    (void)rng.uniform_int(std::uint64_t{16});
     ecfg.policy = (it % 2 == 0) ? BackpressurePolicy::kBlock
                                 : BackpressurePolicy::kSpill;
     ecfg.deterministic = true;
     // Telemetry must be invisible to the determinism contract: randomly
-    // flip it (and the sampler) and demand the same bit-identity. Same for
-    // the transport: spsc rings and the mutex queue must agree bit for bit.
+    // flip it (and the sampler) and demand the same bit-identity.
     ecfg.telemetry = (it % 3 == 0);
     ecfg.sample_ms = (it % 6 == 0) ? std::size_t{1} : std::size_t{0};
-    ecfg.queue = (it % 5 < 3) ? QueueKind::kSpsc : QueueKind::kMutex;
     StreamingEngine engine(cfg.num_servers, cm, ecfg);
     IngressSession session = engine.open_producer();
     submit_in_random_spans(rng, session, stream);
@@ -395,17 +396,18 @@ TEST(FuzzDifferential, EngineMultiProducerBitIdenticalToSerial) {
     ecfg.num_shards = 1 + static_cast<int>(rng.uniform_int(std::uint64_t{6}));
     ecfg.queue_capacity = std::size_t{1}
                           << rng.uniform_int(std::uint64_t{8});  // 1..128
-    ecfg.max_batch = 1 + rng.uniform_int(std::uint64_t{16});
+    // Discarded draw: it once sized a dequeue batch. Consuming it keeps
+    // each seed's draw sequence identical to earlier runs of this lane, so
+    // a recorded failing seed still maps to the same case.
+    (void)rng.uniform_int(std::uint64_t{16});
     ecfg.policy = (it % 2 == 0) ? BackpressurePolicy::kBlock
                                 : BackpressurePolicy::kSpill;
     ecfg.deterministic = true;
     ecfg.producer_credits = (it % 3 == 0) ? std::size_t{4} : std::size_t{0};
     // Telemetry randomization: stamps and histograms must never leak
-    // into the cross-producer merge order. Transport randomization: the
-    // lock-free lanes and the mutex queue must merge identically.
+    // into the cross-producer merge order.
     ecfg.telemetry = (it % 2 == 1);
     ecfg.sample_ms = (it % 4 == 1) ? std::size_t{1} : std::size_t{0};
-    ecfg.queue = (it % 5 < 3) ? QueueKind::kSpsc : QueueKind::kMutex;
     StreamingEngine engine(cfg.num_servers, cm, ecfg);
 
     std::vector<IngressSession> sessions;
@@ -696,7 +698,6 @@ TEST(FuzzDifferential, HetHomEquivalentBitIdentical) {
     EngineConfig ecfg;
     ecfg.num_shards = 1 + static_cast<int>(rng.uniform_int(std::uint64_t{4}));
     ecfg.cost = "het:" + lift.to_string();
-    ecfg.queue = (it % 2 == 0) ? QueueKind::kSpsc : QueueKind::kMutex;
     StreamingEngine engine(cfg.num_servers, cm, ecfg);
     IngressSession session = engine.open_producer();
     submit_in_random_spans(rng, session, stream);

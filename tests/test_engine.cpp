@@ -4,7 +4,7 @@
 // deterministic-mode engine at any shard count produces per-item outcomes
 // and aggregate totals BIT-IDENTICAL to the serial OnlineDataService (the
 // fuzz harness sweeps this over random seeds; here we pin it plus the
-// queue/batcher/backpressure machinery the contract rests on).
+// ring/lane/backpressure machinery the contract rests on).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,8 +16,8 @@
 #include <utility>
 #include <vector>
 
-#include "engine/bounded_queue.h"
 #include "engine/ingress.h"
+#include "engine/shard.h"
 #include "engine/spsc_ring.h"
 #include "engine/streaming_engine.h"
 #include "obs/observer.h"
@@ -46,7 +46,7 @@ ServiceReport run_serial(const std::vector<MultiItemRequest>& stream,
   return service.finish();
 }
 
-/// One-record span: the submit_span() form of the old submit() call.
+/// Submit one record as a one-element span.
 /// Returns records accepted (0 or 1).
 std::size_t submit_one(IngressSession& session, int item, ServerId server,
                        Time time) {
@@ -127,101 +127,6 @@ void expect_reports_identical(const ServiceReport& a, const ServiceReport& b) {
   }
 }
 
-TEST(BoundedQueue, FifoAndClose) {
-  BoundedMpscQueue<int> q(4, BackpressurePolicy::kBlock);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.push(i));
-  std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 3), 3u);
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
-  q.close();
-  out.clear();
-  EXPECT_EQ(q.pop_batch(out, 8), 1u);
-  EXPECT_EQ(out, (std::vector<int>{3}));
-  EXPECT_EQ(q.pop_batch(out, 8), 0u);  // closed and drained
-  const auto st = q.stats();
-  EXPECT_EQ(st.enqueued, 4u);
-  EXPECT_EQ(st.max_depth, 4u);
-  EXPECT_EQ(st.dropped, 0u);
-}
-
-TEST(BoundedQueue, DropPolicyRejectsWhenFull) {
-  BoundedMpscQueue<int> q(2, BackpressurePolicy::kDrop);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  EXPECT_FALSE(q.push(3));
-  EXPECT_FALSE(q.push(4));
-  const auto st = q.stats();
-  EXPECT_EQ(st.enqueued, 2u);
-  EXPECT_EQ(st.dropped, 2u);
-  std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 8), 2u);
-  EXPECT_TRUE(q.push(5));  // space again
-}
-
-TEST(BoundedQueue, SpillPolicyGrowsPastCapacity) {
-  BoundedMpscQueue<int> q(2, BackpressurePolicy::kSpill);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.push(i));
-  const auto st = q.stats();
-  EXPECT_EQ(st.enqueued, 5u);
-  EXPECT_EQ(st.spilled, 3u);
-  EXPECT_EQ(st.max_depth, 5u);
-  std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 10), 5u);
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(BoundedQueue, BlockPolicyStallsProducerUntilDrained) {
-  BoundedMpscQueue<int> q(2, BackpressurePolicy::kBlock);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  std::atomic<bool> third_pushed{false};
-  std::thread producer([&] {
-    q.push(3);  // must block until the consumer makes room
-    third_pushed.store(true);
-  });
-  // The queue stays full until we pop, so the producer must register its
-  // stall eventually; wait for it so the pop below provably unblocks a
-  // stalled producer rather than racing ahead of the push.
-  while (q.stats().stalls == 0) std::this_thread::yield();
-  EXPECT_FALSE(third_pushed.load());
-  std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 1), 1u);
-  producer.join();
-  EXPECT_TRUE(third_pushed.load());
-  EXPECT_GE(q.stats().stalls, 1u);
-  q.close();
-  out.clear();
-  EXPECT_EQ(q.pop_batch(out, 8), 2u);
-  EXPECT_EQ(out, (std::vector<int>{2, 3}));
-}
-
-TEST(BoundedQueue, ConcurrentProducersLoseNothing) {
-  BoundedMpscQueue<int> q(16, BackpressurePolicy::kBlock);
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 500;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.push(p * kPerProducer + i);
-    });
-  }
-  std::vector<int> all;
-  std::thread consumer([&] {
-    std::vector<int> batch;
-    for (;;) {
-      batch.clear();
-      if (q.pop_batch(batch, 32) == 0) break;
-      all.insert(all.end(), batch.begin(), batch.end());
-    }
-  });
-  for (auto& p : producers) p.join();
-  q.close();
-  consumer.join();
-  ASSERT_EQ(all.size(), static_cast<std::size_t>(kProducers * kPerProducer));
-  std::sort(all.begin(), all.end());
-  for (int i = 0; i < kProducers * kPerProducer; ++i) EXPECT_EQ(all[static_cast<std::size_t>(i)], i);
-}
-
 TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(SpscRing<int>(1).capacity(), 2u);
   EXPECT_EQ(SpscRing<int>(2).capacity(), 2u);
@@ -283,22 +188,36 @@ TEST(SpscRing, SingleProducerSingleConsumerThreaded) {
   }
 }
 
-TEST(Microbatcher, TracksBatchShape) {
-  BoundedMpscQueue<int> q(16, BackpressurePolicy::kBlock);
-  for (int i = 0; i < 10; ++i) q.push(i);
-  q.close();
-  Microbatcher<int> b(4);
-  std::size_t total = 0;
-  for (;;) {
-    const auto& batch = b.next(q);
-    if (batch.empty()) break;
-    total += batch.size();
+TEST(SpscLane, SpillDrainTakesRingRecordsPushedMidDrainFirst) {
+  // consume_all reads the ring tail once. A kSpill producer that pushes
+  // into the ring after that read, then parks the rest in the side-car,
+  // must still see its ring records delivered before the parked ones. A
+  // sink that makes that push itself replays the interleaving on one
+  // thread, with no timing involved.
+  const ServingCostModel cm = CostModel(1.0, 1.0);
+  EngineConfig cfg;
+  cfg.policy = BackpressurePolicy::kSpill;
+  EngineShard shard(0, 2, cm, cfg, {});  // never started: no worker
+  SpscLane lane(4);
+  std::vector<IngressRecord> recs(6);
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    recs[i].time = static_cast<Time>(i + 1);
+    recs[i].seq = i + 1;
   }
-  EXPECT_EQ(total, 10u);
-  EXPECT_EQ(b.stats().requests, 10u);
-  EXPECT_EQ(b.stats().batches, 3u);  // 4 + 4 + 2
-  EXPECT_EQ(b.stats().max_batch, 4u);
-  EXPECT_NEAR(b.stats().mean_batch(), 10.0 / 3.0, 1e-12);
+  ASSERT_EQ(shard.lane_push_span(lane, recs.data(), 1), 1u);  // 1 of 4 slots
+  std::vector<std::uint64_t> seen;
+  const std::size_t got = lane.drain([&](const IngressRecord& r) {
+    if (seen.empty()) {
+      // Three records fill the ring's spare room; two park in the side-car.
+      EXPECT_EQ(shard.lane_push_span(lane, recs.data() + 1, 5), 5u);
+    }
+    seen.push_back(r.seq);
+  });
+  EXPECT_EQ(lane.spilled, 2u);
+  EXPECT_EQ(got, 6u);
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6}));
+  EXPECT_TRUE(lane.ring.empty());
+  EXPECT_EQ(lane.overflow_count.load(), 0u);
 }
 
 TEST(ShardOf, StableAndInRange) {
@@ -322,20 +241,15 @@ TEST(StreamingEngine, BitIdenticalToSerialAcrossShardCounts) {
   const CostModel cm(1.0, 1.0);
   const auto stream = make_stream(97, 5, 23, 1200);
   const auto serial = run_serial(stream, 5, cm);
-  for (const QueueKind qk : {QueueKind::kSpsc, QueueKind::kMutex}) {
-    for (int shards : {1, 2, 4, 7}) {
-      EngineConfig cfg;
-      cfg.num_shards = shards;
-      cfg.queue = qk;
-      cfg.queue_capacity = 32;  // small: force backpressure blocking
-      cfg.max_batch = 8;
-      StreamingEngine engine(5, cm, cfg);
-      submit_all(engine, stream);
-      const auto rep = engine.finish();
-      SCOPED_TRACE(std::string("queue=") + to_string(qk) +
-                   " shards=" + std::to_string(shards));
-      expect_reports_identical(serial, rep);
-    }
+  for (int shards : {1, 2, 4, 7}) {
+    EngineConfig cfg;
+    cfg.num_shards = shards;
+    cfg.queue_capacity = 32;  // small: force backpressure blocking
+    StreamingEngine engine(5, cm, cfg);
+    submit_all(engine, stream);
+    const auto rep = engine.finish();
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    expect_reports_identical(serial, rep);
   }
 }
 
@@ -363,7 +277,6 @@ TEST(StreamingEngine, DropPolicyBoundsQueueAndCountsLosses) {
   EngineConfig cfg;
   cfg.num_shards = 2;
   cfg.queue_capacity = 2;  // tiny: guarantee drops under a fast producer
-  cfg.max_batch = 1;
   cfg.policy = BackpressurePolicy::kDrop;
   cfg.deterministic = false;  // deterministic mode would override kDrop
   StreamingEngine engine(4, cm, cfg);
@@ -380,11 +293,9 @@ TEST(StreamingEngine, DropPolicyBoundsQueueAndCountsLosses) {
   EXPECT_EQ(st.submitted, stream.size());
   EXPECT_EQ(st.dropped, stream.size() - accepted);
   EXPECT_EQ(rep.requests + rep.items, static_cast<std::size_t>(accepted));
+  // One producer: one lane per shard, never deeper than its ring.
   for (const auto& s : st.shards) {
-    // Control markers (kOpen/kClose) bypass the capacity bound so a close
-    // can never be dropped; one producer adds at most two to the peak.
-    EXPECT_LE(s.queue.max_depth, cfg.queue_capacity + 2);
-    EXPECT_EQ(s.queue.control, 2u);  // one open + one close marker
+    EXPECT_LE(s.queue.max_depth, cfg.queue_capacity);
   }
 }
 
@@ -440,11 +351,6 @@ TEST(StreamingEngine, Errors) {
     cfg.queue_capacity = 0;
     EXPECT_THROW(StreamingEngine(2, cm, cfg), std::invalid_argument);
   }
-  {
-    EngineConfig cfg;
-    cfg.max_batch = 0;
-    EXPECT_THROW(StreamingEngine(2, cm, cfg), std::invalid_argument);
-  }
   StreamingEngine engine(2, cm, {});
   IngressSession session = engine.open_producer();
   submit_one(session, 0, 0, 1.0);
@@ -487,7 +393,6 @@ TEST(StreamingEngine, MetricsRollUpIntoSharedRegistry) {
 
   EngineConfig cfg;
   cfg.num_shards = 3;
-  cfg.max_batch = 8;
   cfg.service_options.observer = &observer;
   StreamingEngine engine(4, cm, cfg);
   submit_all(engine, stream);
@@ -564,24 +469,19 @@ TEST(IngressSession, MultiProducerBitIdenticalAcrossInterleavings) {
   const CostModel cm(1.0, 1.3);
   const auto stream = make_stream(41, 5, 19, 900);
   const auto serial = run_serial(stream, 5, cm);
-  for (const QueueKind qk : {QueueKind::kSpsc, QueueKind::kMutex}) {
-    for (const std::size_t producers : {std::size_t{2}, std::size_t{8}}) {
-      for (const int shards : {1, 3}) {
-        // Several repetitions: every run is a fresh thread interleaving,
-        // and every one must merge back to the bit-identical serial report.
-        for (int rep = 0; rep < 3; ++rep) {
-          EngineConfig cfg;
-          cfg.num_shards = shards;
-          cfg.queue = qk;
-          cfg.queue_capacity = 16;  // small: force blocking + merge stalls
-          cfg.max_batch = 8;
-          SCOPED_TRACE(std::string("queue=") + to_string(qk) +
-                       " producers=" + std::to_string(producers) +
-                       " shards=" + std::to_string(shards) +
-                       " rep=" + std::to_string(rep));
-          expect_reports_identical(
-              serial, run_engine_producers(stream, 5, cm, cfg, producers));
-        }
+  for (const std::size_t producers : {std::size_t{2}, std::size_t{8}}) {
+    for (const int shards : {1, 3}) {
+      // Several repetitions: every run is a fresh thread interleaving, and
+      // every one must merge back to the bit-identical serial report.
+      for (int rep = 0; rep < 3; ++rep) {
+        EngineConfig cfg;
+        cfg.num_shards = shards;
+        cfg.queue_capacity = 16;  // small: force blocking + merge stalls
+        SCOPED_TRACE("producers=" + std::to_string(producers) +
+                     " shards=" + std::to_string(shards) +
+                     " rep=" + std::to_string(rep));
+        expect_reports_identical(
+            serial, run_engine_producers(stream, 5, cm, cfg, producers));
       }
     }
   }
@@ -656,7 +556,8 @@ TEST(IngressSession, CloseSemanticsAndProducerAccounting) {
   EXPECT_LE(st.producers[0].credit_throttles, st.producers[0].submitted);
   EXPECT_EQ(st.submitted, 300u);
   EXPECT_EQ(rep.requests + rep.items, 300u);
-  // Every shard saw both producer lanes (open markers are broadcast).
+  // Every shard saw both producer lanes (open_producer registers a lane
+  // on every shard).
   for (const auto& s : st.shards) EXPECT_EQ(s.producers, 2u);
 }
 
@@ -667,7 +568,6 @@ TEST(IngressSession, ManyProducersStressBitIdentical) {
   EngineConfig cfg;
   cfg.num_shards = 4;
   cfg.queue_capacity = 8;  // tiny: constant backpressure under 8 producers
-  cfg.max_batch = 4;
   cfg.producer_credits = 8;
   expect_reports_identical(serial,
                            run_engine_producers(stream, 4, cm, cfg, 8));
@@ -686,21 +586,18 @@ TEST(IngressSession, MovedFromSessionIsInvalid) {
   engine.finish();
 }
 
-TEST(IngressSession, DeprecatedSubmitForwardsToSpanPath) {
-  // The one-record shim must share submit_span's whole pipeline: same
-  // validation, same accounting, same report.
+TEST(IngressSession, OneRecordSpansMatchSerial) {
+  // Submitting record by record, each as a one-element span, must share
+  // the whole-span pipeline: same validation, same accounting, same report.
   const CostModel cm(1.0, 1.0);
   const auto stream = make_stream(31, 3, 5, 200);
   const auto serial = run_serial(stream, 3, cm);
   StreamingEngine engine(3, cm, {});
   IngressSession session = engine.open_producer();
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
   for (const auto& r : stream) {
-    EXPECT_TRUE(session.submit(r.item, r.server, r.time));
+    EXPECT_EQ(submit_one(session, r.item, r.server, r.time), 1u);
   }
-  EXPECT_THROW(session.submit(0, 99, 1e9), std::invalid_argument);  // server
-#pragma GCC diagnostic pop
+  EXPECT_THROW(submit_one(session, 0, 99, 1e9), std::invalid_argument);  // server
   session.close();
   expect_reports_identical(serial, engine.finish());
 }
@@ -726,39 +623,35 @@ TEST(SubmitSpan, EmptySpanIsANoOpAndDoesNotStartIngest) {
 
 TEST(SubmitSpan, RejectionIsAtomicAcrossTheWholeSpan) {
   const CostModel cm(1.0, 1.0);
-  for (const QueueKind qk : {QueueKind::kSpsc, QueueKind::kMutex}) {
-    SCOPED_TRACE(std::string("queue=") + to_string(qk));
-    EngineConfig cfg;
-    cfg.queue = qk;
-    cfg.num_shards = 2;
-    StreamingEngine engine(3, cm, cfg);
-    IngressSession session = engine.open_producer();
-    submit_one(session, 7, 0, 1.0);
-    // Bad record in the MIDDLE of a span: the valid prefix must not leak.
-    const std::vector<MultiItemRequest> bad_server = {
-        {1, 0, 2.0}, {2, 9, 3.0}, {3, 1, 4.0}};
-    EXPECT_THROW(
-        session.submit_span(std::span<const MultiItemRequest>(bad_server)),
-        std::invalid_argument);
-    const std::vector<MultiItemRequest> bad_time = {
-        {4, 0, 5.0}, {5, 1, 5.0}, {6, 1, 6.0}};  // not strictly increasing
-    EXPECT_THROW(
-        session.submit_span(std::span<const MultiItemRequest>(bad_time)),
-        std::invalid_argument);
-    // A span that dips below the session's own last time is rejected too.
-    const std::vector<MultiItemRequest> stale = {{8, 0, 0.5}};
-    EXPECT_THROW(session.submit_span(std::span<const MultiItemRequest>(stale)),
-                 std::invalid_argument);
-    // The session is still usable and its clock unchanged: time 2.0 (valid
-    // only if the rejected spans left last_time at 1.0) goes through.
-    EXPECT_EQ(submit_one(session, 9, 1, 2.0), 1u);
-    session.close();
-    const auto rep = engine.finish();
-    // Exactly the two good records arrived: item 7 and item 9 births.
-    EXPECT_EQ(rep.items, 2u);
-    EXPECT_EQ(engine.stats().submitted, 2u);
-    EXPECT_EQ(engine.stats().dropped, 0u);
-  }
+  EngineConfig cfg;
+  cfg.num_shards = 2;
+  StreamingEngine engine(3, cm, cfg);
+  IngressSession session = engine.open_producer();
+  submit_one(session, 7, 0, 1.0);
+  // Bad record in the MIDDLE of a span: the valid prefix must not leak.
+  const std::vector<MultiItemRequest> bad_server = {
+      {1, 0, 2.0}, {2, 9, 3.0}, {3, 1, 4.0}};
+  EXPECT_THROW(
+      session.submit_span(std::span<const MultiItemRequest>(bad_server)),
+      std::invalid_argument);
+  const std::vector<MultiItemRequest> bad_time = {
+      {4, 0, 5.0}, {5, 1, 5.0}, {6, 1, 6.0}};  // not strictly increasing
+  EXPECT_THROW(
+      session.submit_span(std::span<const MultiItemRequest>(bad_time)),
+      std::invalid_argument);
+  // A span that dips below the session's own last time is rejected too.
+  const std::vector<MultiItemRequest> stale = {{8, 0, 0.5}};
+  EXPECT_THROW(session.submit_span(std::span<const MultiItemRequest>(stale)),
+               std::invalid_argument);
+  // The session is still usable and its clock unchanged: time 2.0 (valid
+  // only if the rejected spans left last_time at 1.0) goes through.
+  EXPECT_EQ(submit_one(session, 9, 1, 2.0), 1u);
+  session.close();
+  const auto rep = engine.finish();
+  // Exactly the two good records arrived: item 7 and item 9 births.
+  EXPECT_EQ(rep.items, 2u);
+  EXPECT_EQ(engine.stats().submitted, 2u);
+  EXPECT_EQ(engine.stats().dropped, 0u);
 }
 
 TEST(SubmitSpan, SpanLargerThanTheRingIsLosslessUnderBlock) {
@@ -767,20 +660,16 @@ TEST(SubmitSpan, SpanLargerThanTheRingIsLosslessUnderBlock) {
   const CostModel cm(1.0, 1.3);
   const auto stream = make_stream(83, 4, 11, 3000);
   const auto serial = run_serial(stream, 4, cm);
-  for (const QueueKind qk : {QueueKind::kSpsc, QueueKind::kMutex}) {
-    EngineConfig cfg;
-    cfg.queue = qk;
-    cfg.num_shards = 2;
-    cfg.queue_capacity = 8;  // span of 3000 >> ring of 8
-    cfg.policy = BackpressurePolicy::kBlock;
-    StreamingEngine engine(4, cm, cfg);
-    IngressSession session = engine.open_producer();
-    EXPECT_EQ(session.submit_span(std::span<const MultiItemRequest>(stream)),
-              stream.size());
-    session.close();
-    SCOPED_TRACE(std::string("queue=") + to_string(qk));
-    expect_reports_identical(serial, engine.finish());
-  }
+  EngineConfig cfg;
+  cfg.num_shards = 2;
+  cfg.queue_capacity = 8;  // span of 3000 >> ring of 8
+  cfg.policy = BackpressurePolicy::kBlock;
+  StreamingEngine engine(4, cm, cfg);
+  IngressSession session = engine.open_producer();
+  EXPECT_EQ(session.submit_span(std::span<const MultiItemRequest>(stream)),
+            stream.size());
+  session.close();
+  expect_reports_identical(serial, engine.finish());
 }
 
 TEST(SubmitSpan, SpanBoundariesAreInvisibleToTheReport) {
@@ -808,9 +697,8 @@ TEST(SubmitSpan, SpanBoundariesAreInvisibleToTheReport) {
 TEST(QueueStats, RingLaneSemanticsMatchTheDocumentedContract) {
   // docs/ENGINE.md "Queue statistics under ring lanes": stats() is one
   // post-quiesce snapshot assembled from single-writer lane counters —
-  // enqueued counts ring (not spill) entries, spilled counts side-car
-  // parks, control = 2 per lane (the mutex path's open+close pair), and
-  // depth is zero after a full drain.
+  // enqueued counts every accepted record, spilled counts side-car parks,
+  // and depth is zero after a full drain.
   const CostModel cm(1.0, 1.0);
   const auto stream = make_stream(43, 4, 9, 2000);
   EngineConfig cfg;
@@ -824,22 +712,26 @@ TEST(QueueStats, RingLaneSemanticsMatchTheDocumentedContract) {
   const auto rep = engine.finish();
   EXPECT_EQ(rep.requests + rep.items, stream.size());
   const auto& st = engine.stats();
-  std::uint64_t enq = 0, spill = 0, control = 0;
+  std::uint64_t enq = 0, spill = 0;
   std::size_t depth = 0;
   for (const auto& s : st.shards) {
     enq += s.queue.enqueued;
     spill += s.queue.spilled;
-    control += s.queue.control;
     depth += s.queue.depth;
     EXPECT_GE(s.queue.max_depth, 1u);
+    // Batch shape: every drained record lands in exactly one batch.
+    EXPECT_EQ(s.batches.requests, s.requests);
+    EXPECT_GE(s.batches.batches, 1u);
+    EXPECT_LE(s.batches.max_batch, s.batches.requests);
+    EXPECT_DOUBLE_EQ(s.batches.mean_batch(),
+                     static_cast<double>(s.batches.requests) /
+                         static_cast<double>(s.batches.batches));
   }
   // enqueued counts every accepted record (kSpill never drops); spilled is
-  // the subset that went through the side-car — the same convention the
-  // mutex queue's stats() uses.
+  // the subset that went through the side-car.
   EXPECT_EQ(enq, stream.size());
   EXPECT_GT(spill, 0u) << "spill path never exercised — shrink the ring";
   EXPECT_LT(spill, enq);
-  EXPECT_EQ(control, 2u * st.shards.size());  // one lane per shard
   EXPECT_EQ(depth, 0u);
   EXPECT_EQ(st.spilled, spill);
   EXPECT_EQ(st.submitted, stream.size());
@@ -856,9 +748,7 @@ TEST(EngineConfig, ToStringParseRoundTrip) {
   for (int iter = 0; iter < 200; ++iter) {
     EngineConfig cfg;
     cfg.num_shards = static_cast<int>(rng.uniform_int(0, 64));
-    cfg.queue = rng.bernoulli(0.5) ? QueueKind::kSpsc : QueueKind::kMutex;
     cfg.queue_capacity = static_cast<std::size_t>(rng.uniform_int(1, 1 << 16));
-    cfg.max_batch = static_cast<std::size_t>(rng.uniform_int(1, 512));
     cfg.policy = policies[rng.uniform_int(3)];
     cfg.deterministic = rng.bernoulli(0.5);
     cfg.producer_credits = static_cast<std::size_t>(rng.uniform_int(0, 1024));
@@ -872,9 +762,7 @@ TEST(EngineConfig, ToStringParseRoundTrip) {
     const std::string text = cfg.to_string();
     const EngineConfig back = EngineConfig::parse(text);
     EXPECT_EQ(back.num_shards, cfg.num_shards) << text;
-    EXPECT_EQ(back.queue, cfg.queue) << text;
     EXPECT_EQ(back.queue_capacity, cfg.queue_capacity) << text;
-    EXPECT_EQ(back.max_batch, cfg.max_batch) << text;
     EXPECT_EQ(back.policy, cfg.policy) << text;
     EXPECT_EQ(back.deterministic, cfg.deterministic) << text;
     EXPECT_EQ(back.producer_credits, cfg.producer_credits) << text;
@@ -907,16 +795,16 @@ void expect_parse_error(const std::string& text, const std::string& needle_a,
 TEST(EngineConfig, ParseErrorsNameKeyTokenAndChoices) {
   // Unknown key: names the key and lists the valid ones.
   expect_parse_error("shards=4,polices=block", "polices",
-                     "shards|queue|cap|batch|policy|deterministic|credits");
+                     "shards|cap|policy|deterministic|credits");
+  // Keys of removed settings are unknown keys like any other.
+  expect_parse_error("queue=spsc", "queue", "shards|cap|policy");
+  expect_parse_error("batch=8", "batch", "shards|cap|policy");
   // Bad enum value: names both the value and its key, plus the choices.
   expect_parse_error("policy=blok", "blok", "block|drop|spill");
   expect_parse_error("policy=blok", "policy", "block|drop|spill");
-  // queue selects the transport now; the old capacity spelling is a clear
-  // error, not a silent reinterpretation.
-  expect_parse_error("queue=7", "7", "mutex|spsc");
   // Bad number: whole-token parse, so trailing garbage is an error.
   expect_parse_error("cap=12x", "12x", "cap");
-  expect_parse_error("batch=", "batch", "expected");
+  expect_parse_error("credits=", "credits", "expected");
   // Bad bool.
   expect_parse_error("deterministic=yes", "yes", "true|false");
   // Telemetry uses on|off (a mode switch, not a bool).
@@ -929,21 +817,19 @@ TEST(EngineConfig, ParseErrorsNameKeyTokenAndChoices) {
   expect_parse_error("cost=het:mu=1|1;lam=0|1|1", "cost", "m*m=4");
   // Malformed token (no '='): echoed back with the key list.
   expect_parse_error("shards", "shards",
-                     "shards|queue|cap|batch|policy|deterministic|credits");
+                     "shards|cap|policy|deterministic|credits");
   expect_parse_error("shards", "shards", "cost");
 
   // Omitted keys keep their defaults; order does not matter.
   const EngineConfig defaults;
   const EngineConfig partial = EngineConfig::parse("cap=7");
   EXPECT_EQ(partial.queue_capacity, 7u);
-  EXPECT_EQ(partial.queue, defaults.queue);
   EXPECT_EQ(partial.num_shards, defaults.num_shards);
-  EXPECT_EQ(partial.max_batch, defaults.max_batch);
+  EXPECT_EQ(partial.policy, defaults.policy);
   const EngineConfig reordered =
-      EngineConfig::parse("credits=2,shards=3,queue=mutex,policy=spill");
+      EngineConfig::parse("credits=2,shards=3,policy=spill");
   EXPECT_EQ(reordered.producer_credits, 2u);
   EXPECT_EQ(reordered.num_shards, 3);
-  EXPECT_EQ(reordered.queue, QueueKind::kMutex);
   EXPECT_EQ(reordered.policy, BackpressurePolicy::kSpill);
 }
 
@@ -983,7 +869,6 @@ TEST(StreamingEngine, HeterogeneousBitIdenticalToSerial) {
     EngineConfig cfg;
     cfg.num_shards = shards;
     cfg.queue_capacity = 32;
-    cfg.max_batch = 8;
     StreamingEngine engine(5, scm, cfg);
     submit_all(engine, stream);
     SCOPED_TRACE("shards=" + std::to_string(shards));
@@ -1013,30 +898,6 @@ TEST(StreamingEngine, HomEquivalentHetLiftBitIdentical) {
   StreamingEngine parsed(4, cm, cfg);
   submit_all(parsed, stream);
   expect_reports_identical(serial, parsed.finish());
-}
-
-TEST(BoundedQueue, StatsSnapshotUnderOneLock) {
-  BoundedMpscQueue<int> q(8, BackpressurePolicy::kBlock);
-  for (int i = 0; i < 5; ++i) q.push(i);
-  QueueStats st = q.stats();
-  EXPECT_EQ(st.enqueued, 5u);
-  EXPECT_EQ(st.depth, 5u);  // depth is part of the same snapshot
-  EXPECT_EQ(st.control, 0u);
-  std::vector<int> out;
-  q.pop_batch(out, 2);
-  st = q.stats();
-  EXPECT_EQ(st.depth, 3u);
-  q.push_control(99);
-  st = q.stats();
-  EXPECT_EQ(st.control, 1u);
-  EXPECT_EQ(st.enqueued, 5u);  // markers are not requests
-  EXPECT_EQ(st.depth, 4u);
-  // Control pushes ignore capacity: fill up, then a marker still lands.
-  for (int i = 0; i < 4; ++i) q.push(i);
-  q.push_control(100);
-  st = q.stats();
-  EXPECT_EQ(st.depth, 9u);  // 8 data + 1 marker, capacity 8
-  EXPECT_EQ(st.max_depth, 9u);
 }
 
 TEST(FinalizeReport, RecomputesAggregatesFromPerItem) {

@@ -169,19 +169,6 @@ TEST(Stats, Summarize) {
   EXPECT_FALSE(s.to_string().empty());
 }
 
-TEST(Stats, HistogramBinning) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(-3.0);   // clamps to first bin
-  h.add(100.0);  // clamps to last bin
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_FALSE(h.render().empty());
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-}
-
 TEST(Stats, LogLogSlope) {
   // y = 3 x^2 exactly.
   std::vector<double> x{1, 2, 4, 8, 16};
