@@ -80,7 +80,8 @@ int main() {
        }},
       {"rand-ski",
        [](const RequestSequence& seq, const CostModel& model, Rng& rng) {
-         return std::make_unique<RandomizedSkiRentalPolicy>(model, seq.origin(), rng);
+         return std::make_unique<ScSimPolicy>(
+             ScSimPolicy::ski_rental(model, seq.origin(), rng));
        }},
       {"always-migrate",
        [](const RequestSequence& seq, const CostModel&, Rng&) {

@@ -9,8 +9,9 @@
 
 #include "core/offline_dp.h"
 #include "core/online_sc.h"
-#include "sim/predictive_policy.h"
+#include "sim/policies.h"
 #include "sim/policy_runner.h"
+#include "sim/predictive_policy.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "workload/generators.h"
@@ -43,8 +44,8 @@ int main() {
     RunningStats ratio, transfers;
     for (int inst = 0; inst < kInstances; ++inst) {
       const auto seq = draw(rng);
-      PredictiveScPolicy policy(cm, seq.origin(),
-                                make_sequence_oracle(seq, noise, noise_rng));
+      auto policy = ScSimPolicy::predicted(
+          cm, seq.origin(), make_sequence_oracle(seq, noise, noise_rng));
       const auto res = run_policy(seq, cm, policy);
       if (!res.feasible) {
         ok = false;
@@ -65,7 +66,7 @@ int main() {
     RunningStats ratio;
     for (int inst = 0; inst < kInstances; ++inst) {
       const auto seq = draw(rng);
-      PredictiveScPolicy policy(
+      auto policy = ScSimPolicy::predicted(
           cm, seq.origin(),
           make_adversarial_oracle(seq, cm.speculation_window()));
       const auto res = run_policy(seq, cm, policy);

@@ -60,7 +60,6 @@ EngineShard::EngineShard(int index, int num_servers, const ServingCostModel& cm,
   if (reg != nullptr) {
     const obs::LabeledMetricFamily fam(*reg, "engine_shard",
                                        static_cast<std::size_t>(index));
-    queue_depth_ = &fam.gauge("queue_depth");
     batch_size_ =
         &fam.histogram("batch_size", {1, 2, 4, 8, 16, 32, 64, 128, 256});
     enqueue_stalls_ = &fam.counter("enqueue_stalls");
@@ -511,7 +510,6 @@ ServiceReport EngineShard::drain_and_finish() {
   if (shard_resident_bytes_ != nullptr) {
     shard_resident_bytes_->set(static_cast<double>(resident_bytes_));
   }
-  if (queue_depth_ != nullptr) queue_depth_->set(0.0);
   if (merge_depth_ != nullptr) merge_depth_->set(0.0);
   return rep;
 }

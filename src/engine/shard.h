@@ -196,7 +196,6 @@ class EngineShard {
 
   // Per-shard registry metrics (null without an observer registry and
   // with telemetry off).
-  obs::Gauge* queue_depth_ = nullptr;
   obs::Histogram* batch_size_ = nullptr;
   obs::Counter* enqueue_stalls_ = nullptr;
   obs::Counter* requests_ = nullptr;

@@ -34,7 +34,47 @@
 
 #include <cstddef>
 
-#include "sim/policies.h"
+#include "util/types.h"
+
+namespace mcdc {
+
+/// What a WindowController observes over one monitoring interval. All
+/// counters cover the interval just ended, not the whole run.
+struct WindowIntervalStats {
+  Time interval = 0.0;          ///< interval length in simulated time
+  std::size_t requests = 0;
+  std::size_t hits = 0;         ///< requests that found a local copy
+  std::size_t misses = 0;       ///< requests served by a transfer
+  std::size_t expirations = 0;  ///< copies that expired unused
+  std::size_t slo_missed = 0;   ///< requests that missed their latency SLO
+  /// Distinct (item, server) pairs that received requests this interval —
+  /// the denominator for the per-pair arrival-rate estimate lambda-hat.
+  std::size_t active_pairs = 0;
+};
+
+/// A controller's retuning decision, applied to all subsequent holds.
+struct WindowDecision {
+  /// New speculation factor: delta_t = factor * lambda / mu.
+  double factor = 1.0;
+  /// New epoch length in transfers (0 = no epoch resets).
+  std::size_t epoch_transfers = 0;
+};
+
+/// Measure-then-adapt hook: called once per monitoring interval with the
+/// observed hit/transfer/expiry/SLO mix; returns the window/epoch
+/// retuning. scenlab::run_network_sim polls it; AdaptiveController below
+/// implements it.
+class WindowController {
+ public:
+  virtual ~WindowController() = default;
+  virtual WindowDecision on_interval(const WindowIntervalStats& stats,
+                                     const WindowDecision& current) = 0;
+  /// Called at the start of each run so one controller can serve many
+  /// runs in sequence.
+  virtual void reset() {}
+};
+
+}  // namespace mcdc
 
 namespace mcdc::scenlab {
 

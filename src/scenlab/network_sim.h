@@ -20,9 +20,10 @@
 //     (never dropped — the feasibility invariant), and a copy that is
 //     currently sourcing transfers is kept alive until they complete
 //     ("doomed", dropped at the next completion).
-//   * An optional sim::WindowController is polled every `interval` of
-//     simulated time with the observed hit/transfer/expiry/SLO mix and
-//     retunes (factor, epoch) online — the adaptive policy of the lab.
+//   * An optional WindowController (scenlab/adaptive.h) is polled every
+//     `interval` of simulated time with the observed hit/transfer/expiry/
+//     SLO mix and retunes (factor, epoch) online — the adaptive policy of
+//     the lab.
 //
 // Everything runs off one EventQueue ordered by (time, priority, seq); no
 // wall clocks and no RNG inside the simulator, so a given (config, stream)
@@ -54,9 +55,9 @@
 #include <vector>
 
 #include "model/cost_model.h"
-#include "sim/policies.h"
 #include "workload/scenario_gen.h"
 
+#include "scenlab/adaptive.h"
 #include "scenlab/scenario_config.h"
 
 namespace mcdc::scenlab {

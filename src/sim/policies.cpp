@@ -2,41 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numbers>
-#include <stdexcept>
+#include <utility>
+
+#include "util/contracts.h"
 
 namespace mcdc {
-
-namespace {
-
-/// Drop every due copy (expiry <= now) in (expiry, ordinal) order, never
-/// touching the last copy — the shared expiration discipline of the
-/// window-based policies (paper §V step 4 incl. the tie and last-copy
-/// rules).
-template <typename ExpiryVec, typename OrdinalVec>
-void drop_due_copies(ReplicaContext& ctx, const ExpiryVec& expiry,
-                     const OrdinalVec& ordinal) {
-  while (ctx.copy_count() > 1) {
-    ServerId victim = kNoServer;
-    for (const ServerId h : ctx.holders()) {
-      if (expiry[static_cast<std::size_t>(h)] > ctx.now() + kEps) continue;
-      if (victim == kNoServer ||
-          expiry[static_cast<std::size_t>(h)] <
-              expiry[static_cast<std::size_t>(victim)] - kEps ||
-          (almost_equal(expiry[static_cast<std::size_t>(h)],
-                        expiry[static_cast<std::size_t>(victim)]) &&
-           ordinal[static_cast<std::size_t>(h)] <
-               ordinal[static_cast<std::size_t>(victim)])) {
-        victim = h;
-      }
-    }
-    if (victim == kNoServer) break;
-    ctx.drop(victim);
-  }
-}
-
-}  // namespace
 
 // ---------------- ScSimPolicy ----------------
 
@@ -46,26 +17,73 @@ ScSimPolicy::ScSimPolicy(const CostModel& cm, ServerId origin,
       epoch_limit_(epoch_transfers),
       last_request_server_(origin) {}
 
-void ScSimPolicy::on_start(ReplicaContext& ctx) {
-  expiry_.assign(static_cast<std::size_t>(ctx.num_servers()), 0.0);
-  ordinal_.assign(static_cast<std::size_t>(ctx.num_servers()), 0);
-  refresh(ctx, last_request_server_);
+ScSimPolicy ScSimPolicy::ski_rental(const CostModel& cm, ServerId origin,
+                                    Rng& rng) {
+  ScSimPolicy p(cm, origin);
+  p.rule_ = Rule::kSkiRental;
+  p.rng_ = &rng;
+  return p;
 }
 
-void ScSimPolicy::refresh(ReplicaContext& ctx, ServerId s) {
-  expiry_[static_cast<std::size_t>(s)] = ctx.now() + delta_t_;
-  ordinal_[static_cast<std::size_t>(s)] = ++counter_;
-  ctx.wake_at(ctx.now() + delta_t_);
+ScSimPolicy ScSimPolicy::predicted(const CostModel& cm, ServerId origin,
+                                   NextUseOracle oracle) {
+  ScSimPolicy p(cm, origin);
+  p.rule_ = Rule::kPredicted;
+  p.oracle_ = std::move(oracle);
+  return p;
+}
+
+std::string ScSimPolicy::name() const {
+  if (rule_ == Rule::kSkiRental) return "rand-ski";
+  if (rule_ == Rule::kPredicted) return "predictive-sc";
+  return "sc";
+}
+
+Time ScSimPolicy::draw_window() {
+  // Inverse-CDF sample of the optimal randomized ski-rental density
+  // f(x) = e^x / (e - 1) on [0, 1), scaled to the deterministic window.
+  const double u = rng_->uniform();
+  return delta_t_ * std::log(1.0 + u * (std::numbers::e - 1.0));
+}
+
+void ScSimPolicy::on_start(ReplicaContext& ctx) {
+  const auto m = static_cast<std::size_t>(ctx.num_servers());
+  window_.assign(m, delta_t_);
+  expiry_.assign(m, 0.0);
+  ordinal_.assign(m, 0);
+  if (rule_ == Rule::kSkiRental) {
+    window_[static_cast<std::size_t>(last_request_server_)] = draw_window();
+  }
+  refresh(ctx, last_request_server_, 0);
+}
+
+void ScSimPolicy::refresh(ReplicaContext& ctx, ServerId s, RequestIndex index) {
+  const auto i = static_cast<std::size_t>(s);
+  if (rule_ == Rule::kPredicted) {
+    window_[i] = oracle_(s, index, ctx.now()) <= delta_t_ ? delta_t_ : 0.0;
+  }
+  expiry_[i] = ctx.now() + window_[i];
+  ordinal_[i] = ++counter_;
+  ctx.wake_at(expiry_[i]);
 }
 
 void ScSimPolicy::on_request(ReplicaContext& ctx, ServerId server,
-                             RequestIndex /*index*/) {
+                             RequestIndex index) {
   if (ctx.has_copy(server)) {
-    refresh(ctx, server);
+    refresh(ctx, server, index);
   } else {
     ServerId src = last_request_server_;
-    if (!ctx.has_copy(src) || src == server) {
-      // Defensive: fall back to the most recently used holder.
+    if (rule_ == Rule::kFixed) {
+      // r_{i-1}'s copy was refreshed last, so it expires last and outlives
+      // every drop (Observation 4); were it on this server, the request
+      // would have been a hit.
+      MCDC_INVARIANT(
+          ctx.has_copy(src) && src != server,
+          "Observation 4: copy of r_{i-1}'s server s%d must be alive on a miss",
+          src + 1);
+    } else if (!ctx.has_copy(src) || src == server) {
+      // A zero predicted window or a short ski-rental draw can let
+      // r_{i-1}'s copy expire: serve from the most recently used holder.
       std::uint64_t best = 0;
       src = kNoServer;
       for (const ServerId h : ctx.holders()) {
@@ -76,8 +94,11 @@ void ScSimPolicy::on_request(ReplicaContext& ctx, ServerId server,
       }
     }
     ctx.transfer(src, server);
-    refresh(ctx, src);     // the source gets a fresh window too (step 3)
-    refresh(ctx, server);  // target refreshed after: the tie rule keeps it
+    if (rule_ == Rule::kSkiRental) {
+      window_[static_cast<std::size_t>(server)] = draw_window();
+    }
+    refresh(ctx, src, index);     // the source gets a fresh window too (step 3)
+    refresh(ctx, server, index);  // target refreshed after: the tie rule keeps it
 
     if (++epoch_transfers_ >= epoch_limit_) {
       for (const ServerId h : ctx.holders()) {
@@ -90,7 +111,26 @@ void ScSimPolicy::on_request(ReplicaContext& ctx, ServerId server,
 }
 
 void ScSimPolicy::on_wake(ReplicaContext& ctx) {
-  drop_due_copies(ctx, expiry_, ordinal_);
+  // Drop every due copy (expiry <= now) in (expiry, ordinal) order, never
+  // touching the last copy (paper §V step 4 incl. the tie and last-copy
+  // rules).
+  while (ctx.copy_count() > 1) {
+    ServerId victim = kNoServer;
+    for (const ServerId h : ctx.holders()) {
+      if (expiry_[static_cast<std::size_t>(h)] > ctx.now() + kEps) continue;
+      if (victim == kNoServer ||
+          expiry_[static_cast<std::size_t>(h)] <
+              expiry_[static_cast<std::size_t>(victim)] - kEps ||
+          (almost_equal(expiry_[static_cast<std::size_t>(h)],
+                        expiry_[static_cast<std::size_t>(victim)]) &&
+           ordinal_[static_cast<std::size_t>(h)] <
+               ordinal_[static_cast<std::size_t>(victim)])) {
+        victim = h;
+      }
+    }
+    if (victim == kNoServer) break;
+    ctx.drop(victim);
+  }
 }
 
 // ---------------- AlwaysMigratePolicy ----------------
@@ -151,156 +191,6 @@ void LruKPolicy::on_request(ReplicaContext& ctx, ServerId server,
     if (victim == kNoServer) break;
     ctx.drop(victim);
   }
-}
-
-// ---------------- TunableScPolicy ----------------
-
-TunableScPolicy::TunableScPolicy(const CostModel& cm, ServerId origin,
-                                 Time interval, WindowController* controller,
-                                 WindowDecision initial)
-    : delta_base_(cm.lambda / cm.mu),
-      interval_(interval),
-      controller_(controller),
-      decision_(initial),
-      last_request_server_(origin) {
-  if (decision_.factor <= 0.0) decision_.factor = 1.0;
-  if (controller_ != nullptr && !(interval_ > 0.0)) {
-    throw std::invalid_argument(
-        "TunableScPolicy: a controller needs interval > 0");
-  }
-}
-
-void TunableScPolicy::on_start(ReplicaContext& ctx) {
-  expiry_.assign(static_cast<std::size_t>(ctx.num_servers()), 0.0);
-  ordinal_.assign(static_cast<std::size_t>(ctx.num_servers()), 0);
-  pair_mark_.assign(static_cast<std::size_t>(ctx.num_servers()), 0);
-  tick_id_ = 1;
-  tick_ = {};
-  tick_.interval = interval_;
-  if (controller_ != nullptr) {
-    controller_->reset();
-    next_monitor_ = interval_;
-    ctx.wake_at(next_monitor_);
-  }
-  refresh(ctx, last_request_server_);
-}
-
-void TunableScPolicy::refresh(ReplicaContext& ctx, ServerId s) {
-  expiry_[static_cast<std::size_t>(s)] = ctx.now() + window();
-  ordinal_[static_cast<std::size_t>(s)] = ++counter_;
-  ctx.wake_at(expiry_[static_cast<std::size_t>(s)]);
-}
-
-void TunableScPolicy::on_request(ReplicaContext& ctx, ServerId server,
-                                 RequestIndex /*index*/) {
-  ++tick_.requests;
-  if (pair_mark_[static_cast<std::size_t>(server)] != tick_id_) {
-    pair_mark_[static_cast<std::size_t>(server)] = tick_id_;
-    ++tick_.active_pairs;
-  }
-  if (ctx.has_copy(server)) {
-    ++tick_.hits;
-    refresh(ctx, server);
-  } else {
-    ++tick_.misses;
-    ServerId src = last_request_server_;
-    if (!ctx.has_copy(src) || src == server) {
-      std::uint64_t best = 0;
-      src = kNoServer;
-      for (const ServerId h : ctx.holders()) {
-        if (src == kNoServer || ordinal_[static_cast<std::size_t>(h)] >= best) {
-          best = ordinal_[static_cast<std::size_t>(h)];
-          src = h;
-        }
-      }
-    }
-    ctx.transfer(src, server);
-    refresh(ctx, src);     // source serves the transfer: fresh window
-    refresh(ctx, server);  // target refreshed after: the tie rule keeps it
-    if (decision_.epoch_transfers > 0 &&
-        ++epoch_transfers_ >= decision_.epoch_transfers) {
-      for (const ServerId h : ctx.holders()) {
-        if (h != server) ctx.drop(h);
-      }
-      epoch_transfers_ = 0;
-    }
-  }
-  last_request_server_ = server;
-}
-
-void TunableScPolicy::monitor_tick(ReplicaContext& ctx) {
-  while (controller_ != nullptr && ctx.now() >= next_monitor_ - kEps) {
-    tick_.interval = interval_;
-    decision_ = controller_->on_interval(tick_, decision_);
-    if (decision_.factor <= 0.0) decision_.factor = 1.0;
-    tick_ = {};
-    ++tick_id_;
-    next_monitor_ += interval_;
-    ctx.wake_at(next_monitor_);
-  }
-}
-
-void TunableScPolicy::on_wake(ReplicaContext& ctx) {
-  const std::size_t before = ctx.copy_count();
-  drop_due_copies(ctx, expiry_, ordinal_);
-  tick_.expirations += before - ctx.copy_count();
-  monitor_tick(ctx);
-}
-
-// ---------------- RandomizedSkiRentalPolicy ----------------
-
-RandomizedSkiRentalPolicy::RandomizedSkiRentalPolicy(const CostModel& cm,
-                                                     ServerId origin, Rng& rng)
-    : delta_t_(cm.lambda / cm.mu), rng_(&rng), last_request_server_(origin) {}
-
-double RandomizedSkiRentalPolicy::sample_window() {
-  // Inverse-CDF sample of the optimal randomized ski-rental density
-  // f(x) = e^x / (e - 1) on [0, 1), scaled to the deterministic window.
-  const double u = rng_->uniform();
-  return delta_t_ * std::log(1.0 + u * (std::numbers::e - 1.0));
-}
-
-void RandomizedSkiRentalPolicy::on_start(ReplicaContext& ctx) {
-  expiry_.assign(static_cast<std::size_t>(ctx.num_servers()), 0.0);
-  window_.assign(static_cast<std::size_t>(ctx.num_servers()), delta_t_);
-  ordinal_.assign(static_cast<std::size_t>(ctx.num_servers()), 0);
-  window_[static_cast<std::size_t>(last_request_server_)] = sample_window();
-  refresh(ctx, last_request_server_);
-}
-
-void RandomizedSkiRentalPolicy::refresh(ReplicaContext& ctx, ServerId s) {
-  expiry_[static_cast<std::size_t>(s)] =
-      ctx.now() + window_[static_cast<std::size_t>(s)];
-  ordinal_[static_cast<std::size_t>(s)] = ++counter_;
-  ctx.wake_at(expiry_[static_cast<std::size_t>(s)]);
-}
-
-void RandomizedSkiRentalPolicy::on_request(ReplicaContext& ctx, ServerId server,
-                                           RequestIndex /*index*/) {
-  if (ctx.has_copy(server)) {
-    refresh(ctx, server);
-  } else {
-    ServerId src = last_request_server_;
-    if (!ctx.has_copy(src) || src == server) {
-      std::uint64_t best = 0;
-      src = kNoServer;
-      for (const ServerId h : ctx.holders()) {
-        if (src == kNoServer || ordinal_[static_cast<std::size_t>(h)] >= best) {
-          best = ordinal_[static_cast<std::size_t>(h)];
-          src = h;
-        }
-      }
-    }
-    ctx.transfer(src, server);
-    window_[static_cast<std::size_t>(server)] = sample_window();
-    refresh(ctx, src);
-    refresh(ctx, server);
-  }
-  last_request_server_ = server;
-}
-
-void RandomizedSkiRentalPolicy::on_wake(ReplicaContext& ctx) {
-  drop_due_copies(ctx, expiry_, ordinal_);
 }
 
 }  // namespace mcdc

@@ -3,7 +3,9 @@
 //  * ScSimPolicy        — the paper's Speculative Caching, re-implemented
 //                         on top of the generic policy API. Intentionally a
 //                         second, independent implementation: tests require
-//                         cost equality with core/online_sc.cpp.
+//                         cost equality with core/online_sc.cpp. One state
+//                         machine with three window rules (fixed, ski-rental,
+//                         predicted); only the fixed rule is the paper's.
 //  * AlwaysMigratePolicy— one copy that follows the request stream
 //                         (transfer on every server change, never replicate).
 //  * StaticHomePolicy   — the copy never leaves the origin; remote requests
@@ -13,14 +15,6 @@
 //                         least-recently-used eviction (classic caching
 //                         transplanted into the cloud cost model; Table I's
 //                         left column).
-//  * RandomizedSkiRentalPolicy — SC with the classical randomized ski-rental
-//                         window distribution (density e^x/(e-1) on [0,1],
-//                         scaled by delta_t) instead of the fixed window.
-//  * TunableScPolicy    — SC whose speculation window and epoch length are
-//                         retuned per monitoring interval by a pluggable
-//                         WindowController (the scenario lab's adaptive
-//                         policies run through the existing policy_runner
-//                         via this adapter; see docs/SCENLAB.md).
 #pragma once
 
 #include <cstddef>
@@ -29,28 +23,56 @@
 
 #include "model/cost_model.h"
 #include "sim/policy.h"
+#include "sim/predictive_policy.h"
 #include "util/rng.h"
 
 namespace mcdc {
 
+/// Speculative Caching (paper §V): a used copy lives one window past its
+/// last use, the last copy never expires, a miss is served from r_{i-1}'s
+/// server, and the source of a transfer is refreshed with its target. The
+/// window rule is the one part that varies:
+///
+///  * fixed      — factor * lambda / mu for every copy, plus an epoch
+///                 limit: every `epoch_transfers` transfers the replica set
+///                 collapses onto the requesting server (name "sc");
+///  * ski-rental — each copy draws its window once, when it is created,
+///                 from the randomized ski-rental density e^x / (e - 1) on
+///                 [0, 1) scaled by lambda / mu (name "rand-ski");
+///  * predicted  — at every refresh the window is lambda / mu if the oracle
+///                 predicts the copy's next use inside it, else 0 (name
+///                 "predictive-sc"; see sim/predictive_policy.h).
 class ScSimPolicy final : public OnlinePolicy {
  public:
+  /// The fixed rule; the default epoch limit never resets.
   ScSimPolicy(const CostModel& cm, ServerId origin,
               std::size_t epoch_transfers = static_cast<std::size_t>(-1),
               double speculation_factor = 1.0);
+  /// The ski-rental rule; draws from `rng`, which must outlive the policy.
+  static ScSimPolicy ski_rental(const CostModel& cm, ServerId origin, Rng& rng);
+  /// The predicted rule.
+  static ScSimPolicy predicted(const CostModel& cm, ServerId origin,
+                               NextUseOracle oracle);
 
-  std::string name() const override { return "sc"; }
+  std::string name() const override;
   void on_start(ReplicaContext& ctx) override;
   void on_request(ReplicaContext& ctx, ServerId server, RequestIndex index) override;
   void on_wake(ReplicaContext& ctx) override;
 
  private:
-  void refresh(ReplicaContext& ctx, ServerId s);
+  enum class Rule { kFixed, kSkiRental, kPredicted };
 
+  Time draw_window();
+  void refresh(ReplicaContext& ctx, ServerId s, RequestIndex index);
+
+  Rule rule_ = Rule::kFixed;
   Time delta_t_;
   std::size_t epoch_limit_;
   std::size_t epoch_transfers_ = 0;
   ServerId last_request_server_;
+  Rng* rng_ = nullptr;    ///< ski-rental rule only
+  NextUseOracle oracle_;  ///< predicted rule only
+  std::vector<Time> window_;
   std::vector<Time> expiry_;
   std::vector<std::uint64_t> ordinal_;
   std::uint64_t counter_ = 0;
@@ -96,106 +118,6 @@ class LruKPolicy final : public OnlinePolicy {
   std::size_t capacity_;
   ServerId last_;
   std::vector<std::uint64_t> last_use_;
-  std::uint64_t counter_ = 0;
-};
-
-/// What a WindowController observes over one monitoring interval. All
-/// counters cover the interval just ended, not the whole run.
-struct WindowIntervalStats {
-  Time interval = 0.0;          ///< interval length in simulated time
-  std::size_t requests = 0;
-  std::size_t hits = 0;         ///< requests that found a local copy
-  std::size_t misses = 0;       ///< requests served by a transfer
-  std::size_t expirations = 0;  ///< copies that expired unused
-  std::size_t slo_missed = 0;   ///< network-time world only; 0 otherwise
-  /// Distinct (item, server) pairs that received requests this interval —
-  /// the denominator for the per-pair arrival-rate estimate lambda-hat.
-  std::size_t active_pairs = 0;
-};
-
-/// A controller's retuning decision, applied to all subsequent holds.
-struct WindowDecision {
-  /// New speculation factor: delta_t = factor * lambda / mu.
-  double factor = 1.0;
-  /// New epoch length in transfers (0 = no epoch resets).
-  std::size_t epoch_transfers = 0;
-};
-
-/// Measure-then-adapt hook: called once per monitoring interval with the
-/// observed hit/transfer/expiry mix; returns the window/epoch retuning.
-/// Implementations live above sim/ (scenlab::AdaptiveController); sim only
-/// defines the contract so both the instantaneous policy_runner world and
-/// the scenlab network-time world can drive the same controller.
-class WindowController {
- public:
-  virtual ~WindowController() = default;
-  virtual WindowDecision on_interval(const WindowIntervalStats& stats,
-                                     const WindowDecision& current) = 0;
-  /// Called at the start of each run so one controller can serve many
-  /// per-item policy instances in sequence.
-  virtual void reset() {}
-};
-
-/// SC with a runtime-tunable window: behaves exactly like ScSimPolicy at
-/// the current (factor, epoch) setting, and polls `controller` every
-/// `interval` of simulated time via self-scheduled wake-ups. A null
-/// controller makes it a static SC at the initial decision (tested to be
-/// cost-identical to ScSimPolicy).
-class TunableScPolicy final : public OnlinePolicy {
- public:
-  TunableScPolicy(const CostModel& cm, ServerId origin, Time interval,
-                  WindowController* controller,
-                  WindowDecision initial = {});
-
-  std::string name() const override {
-    return controller_ == nullptr ? "sc-tunable" : "sc-adaptive";
-  }
-  void on_start(ReplicaContext& ctx) override;
-  void on_request(ReplicaContext& ctx, ServerId server, RequestIndex index) override;
-  void on_wake(ReplicaContext& ctx) override;
-
-  double current_factor() const { return decision_.factor; }
-  std::size_t current_epoch() const { return decision_.epoch_transfers; }
-
- private:
-  Time window() const { return decision_.factor * delta_base_; }
-  void refresh(ReplicaContext& ctx, ServerId s);
-  void monitor_tick(ReplicaContext& ctx);
-
-  Time delta_base_;  ///< lambda / mu
-  Time interval_;
-  WindowController* controller_;
-  WindowDecision decision_;
-  Time next_monitor_ = 0.0;
-  std::size_t epoch_transfers_ = 0;
-  ServerId last_request_server_;
-  std::vector<Time> expiry_;
-  std::vector<std::uint64_t> ordinal_;
-  std::uint64_t counter_ = 0;
-
-  WindowIntervalStats tick_;  ///< accumulates over the current interval
-  std::vector<std::uint64_t> pair_mark_;  ///< active_pairs dedup per interval
-  std::uint64_t tick_id_ = 0;
-};
-
-class RandomizedSkiRentalPolicy final : public OnlinePolicy {
- public:
-  RandomizedSkiRentalPolicy(const CostModel& cm, ServerId origin, Rng& rng);
-  std::string name() const override { return "rand-ski"; }
-  void on_start(ReplicaContext& ctx) override;
-  void on_request(ReplicaContext& ctx, ServerId server, RequestIndex index) override;
-  void on_wake(ReplicaContext& ctx) override;
-
- private:
-  double sample_window();
-  void refresh(ReplicaContext& ctx, ServerId s);
-
-  Time delta_t_;
-  Rng* rng_;
-  ServerId last_request_server_;
-  std::vector<Time> expiry_;
-  std::vector<Time> window_;
-  std::vector<std::uint64_t> ordinal_;
   std::uint64_t counter_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 namespace mcdc {
@@ -21,29 +22,6 @@ Time true_gap(const std::vector<std::vector<Time>>& by, ServerId s, Time now) {
   auto it = std::upper_bound(v.begin(), v.end(), now + kEps);
   if (it == v.end()) return std::numeric_limits<Time>::infinity();
   return *it - now;
-}
-
-/// Shared expiration discipline (same as policies.cpp): drop every due
-/// copy in (expiry, ordinal) order, never touching the last copy.
-void drop_due(ReplicaContext& ctx, const std::vector<Time>& expiry,
-              const std::vector<std::uint64_t>& ordinal) {
-  while (ctx.copy_count() > 1) {
-    ServerId victim = kNoServer;
-    for (const ServerId h : ctx.holders()) {
-      if (expiry[static_cast<std::size_t>(h)] > ctx.now() + kEps) continue;
-      if (victim == kNoServer ||
-          expiry[static_cast<std::size_t>(h)] <
-              expiry[static_cast<std::size_t>(victim)] - kEps ||
-          (almost_equal(expiry[static_cast<std::size_t>(h)],
-                        expiry[static_cast<std::size_t>(victim)]) &&
-           ordinal[static_cast<std::size_t>(h)] <
-               ordinal[static_cast<std::size_t>(victim)])) {
-        victim = h;
-      }
-    }
-    if (victim == kNoServer) break;
-    ctx.drop(victim);
-  }
 }
 
 }  // namespace
@@ -68,56 +46,6 @@ NextUseOracle make_adversarial_oracle(const RequestSequence& seq, Time delta_t) 
     if (gap <= delta_t) return 10.0 * delta_t;
     return 0.5 * delta_t;
   };
-}
-
-PredictiveScPolicy::PredictiveScPolicy(const CostModel& cm, ServerId origin,
-                                       NextUseOracle oracle)
-    : delta_t_(cm.lambda / cm.mu),
-      oracle_(std::move(oracle)),
-      last_request_server_(origin) {}
-
-void PredictiveScPolicy::on_start(ReplicaContext& ctx) {
-  expiry_.assign(static_cast<std::size_t>(ctx.num_servers()), 0.0);
-  ordinal_.assign(static_cast<std::size_t>(ctx.num_servers()), 0);
-  place_window(ctx, last_request_server_, 0);
-}
-
-void PredictiveScPolicy::place_window(ReplicaContext& ctx, ServerId s,
-                                      RequestIndex index) {
-  const Time predicted = oracle_(s, index, ctx.now());
-  // Trust the prediction, capped by SC's window: keep the copy when the
-  // next use is predicted inside delta_t, drop right away otherwise.
-  const Time horizon =
-      predicted <= delta_t_ ? ctx.now() + delta_t_ : ctx.now();
-  expiry_[static_cast<std::size_t>(s)] = horizon;
-  ordinal_[static_cast<std::size_t>(s)] = ++counter_;
-  ctx.wake_at(horizon);
-}
-
-void PredictiveScPolicy::on_request(ReplicaContext& ctx, ServerId server,
-                                    RequestIndex index) {
-  if (!ctx.has_copy(server)) {
-    ServerId src = last_request_server_;
-    if (!ctx.has_copy(src) || src == server) {
-      std::uint64_t best = 0;
-      src = kNoServer;
-      for (const ServerId h : ctx.holders()) {
-        if (src == kNoServer || ordinal_[static_cast<std::size_t>(h)] >= best) {
-          best = ordinal_[static_cast<std::size_t>(h)];
-          src = h;
-        }
-      }
-    }
-    ctx.transfer(src, server);
-    place_window(ctx, src, index);
-  }
-  place_window(ctx, server, index);
-  last_request_server_ = server;
-  drop_due(ctx, expiry_, ordinal_);
-}
-
-void PredictiveScPolicy::on_wake(ReplicaContext& ctx) {
-  drop_due(ctx, expiry_, ordinal_);
 }
 
 }  // namespace mcdc

@@ -1,10 +1,11 @@
-// Prediction-augmented Speculative Caching (extension).
+// Next-use oracles for prediction-augmented Speculative Caching
+// (extension): ScSimPolicy's predicted window rule (sim/policies.h).
 //
 // The paper motivates off-line optimality with the predictability of
 // mobile trajectories ("93% of human behaviour"); modern online algorithm
-// theory formalizes that as *algorithms with predictions*. This policy
-// consumes, at each use of a copy, a prediction of the next-use gap on
-// that server and decides:
+// theory formalizes that as *algorithms with predictions*. At each use of
+// a copy the predicted rule asks an oracle for the gap until the next use
+// on that server and decides:
 //
 //   predicted gap <= delta_t  ->  keep the copy the full window (as SC),
 //   predicted gap  > delta_t  ->  drop immediately after use.
@@ -16,17 +17,15 @@
 // constant-factor envelope; bench_predictions measures the
 // consistency-robustness trade-off as prediction noise grows.
 //
-// Predictions are supplied by a NextUseOracle; for experiments we build
-// one from the true sequence with controllable error (perfect, noisy,
-// adversarially wrong).
+// For experiments the oracles below are built from the true sequence with
+// controllable error (perfect, noisy, adversarially wrong).
 #pragma once
 
 #include <functional>
 
-#include "model/cost_model.h"
 #include "model/request.h"
-#include "sim/policy.h"
 #include "util/rng.h"
+#include "util/types.h"
 
 namespace mcdc {
 
@@ -44,25 +43,5 @@ NextUseOracle make_sequence_oracle(const RequestSequence& seq, double noise,
 /// Oracle that predicts the opposite of the truth relative to the window
 /// (worst case for the trusting policy).
 NextUseOracle make_adversarial_oracle(const RequestSequence& seq, Time delta_t);
-
-class PredictiveScPolicy final : public OnlinePolicy {
- public:
-  PredictiveScPolicy(const CostModel& cm, ServerId origin, NextUseOracle oracle);
-
-  std::string name() const override { return "predictive-sc"; }
-  void on_start(ReplicaContext& ctx) override;
-  void on_request(ReplicaContext& ctx, ServerId server, RequestIndex index) override;
-  void on_wake(ReplicaContext& ctx) override;
-
- private:
-  void place_window(ReplicaContext& ctx, ServerId s, RequestIndex index);
-
-  Time delta_t_;
-  NextUseOracle oracle_;
-  ServerId last_request_server_;
-  std::vector<Time> expiry_;
-  std::vector<std::uint64_t> ordinal_;
-  std::uint64_t counter_ = 0;
-};
 
 }  // namespace mcdc

@@ -12,6 +12,9 @@
 //   * every reconstructed schedule passes validate_schedule (V1-V5), its
 //     arithmetic cost equals the reported optimum, and an event-level
 //     replay through sim/executor reconciles the cost exactly.
+//   * the simulator's ScSimPolicy vs the core SpeculativeCache at epoch
+//     limits none/2/7 and window factors 1/0.5/3: equal cost, one transfer
+//     per core miss, equal hits.
 //   * B_n <= OPT (the marginal bound is a certified lower bound), and the
 //     3-competitive certificate for SC. Note the raw inequality
 //     "SC <= 3 * B_n" is false in general — B_n clips every long gap at
@@ -35,6 +38,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <span>
 #include <string>
 #include <thread>
@@ -54,6 +58,8 @@
 #include "scenlab/scenario_run.h"
 #include "service/data_service.h"
 #include "sim/executor.h"
+#include "sim/policies.h"
+#include "sim/policy_runner.h"
 #include "util/rng.h"
 #include "workload/generators.h"
 
@@ -223,6 +229,33 @@ void check_instance(const RequestSequence& seq, const CostModel& cm,
     ASSERT_TRUE(less_or_equal(dp.optimal_cost, esc.total_cost, kTol))
         << "epoch=" << epoch << " beat the optimum: SC=" << esc.total_cost
         << " OPT=" << dp.optimal_cost;
+  }
+
+  // ---- the simulator's SC reference vs the core SC. ----------------------
+  // ScSimPolicy re-implements the state machine on the generic policy API
+  // (its own clock, copy set and cost meter), so agreement here is
+  // triangulation, not a tautology.
+  for (const std::size_t epoch :
+       {std::numeric_limits<std::size_t>::max(), std::size_t{2},
+        std::size_t{7}}) {
+    for (const double factor : {1.0, 0.5, 3.0}) {
+      SpeculativeCachingOptions opt;
+      opt.epoch_transfers = epoch;
+      opt.speculation_factor = factor;
+      const auto core = run_speculative_caching(seq, cm, opt);
+      ScSimPolicy policy(cm, seq.origin(), epoch, factor);
+      const auto sim = run_policy(seq, cm, policy);
+      ASSERT_TRUE(sim.feasible)
+          << "epoch=" << epoch << " factor=" << factor
+          << " ScSimPolicy infeasible: " << sim.violations.front();
+      ASSERT_TRUE(almost_equal(sim.total_cost, core.total_cost, kTol))
+          << "epoch=" << epoch << " factor=" << factor
+          << " ScSimPolicy=" << sim.total_cost << " core=" << core.total_cost;
+      ASSERT_EQ(sim.transfers, core.misses)
+          << "epoch=" << epoch << " factor=" << factor;
+      ASSERT_EQ(sim.hits, core.hits)
+          << "epoch=" << epoch << " factor=" << factor;
+    }
   }
 }
 

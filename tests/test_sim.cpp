@@ -139,85 +139,13 @@ TEST(Policies, LruOneIsMigration) {
   EXPECT_NEAR(a.total_cost, b.total_cost, 1e-9);
 }
 
-TEST(Policies, TunableScWithNullControllerMatchesSc) {
-  // The scenario lab's adapter at a fixed decision IS the SC policy: with
-  // no controller attached it must reproduce ScSimPolicy cost-exactly,
-  // across window factors and epoch lengths.
-  Rng rng(31);
-  const CostModel cm(1.0, 2.0);
-  for (int inst = 0; inst < 20; ++inst) {
-    const auto seq = random_sequence(rng, 5, 50, 0.7);
-    const double factor = 0.5 + 0.5 * (inst % 4);
-    const std::size_t epoch =
-        inst % 2 == 0 ? static_cast<std::size_t>(-1) : 6;
-    ScSimPolicy sc(cm, seq.origin(), epoch, factor);
-    WindowDecision initial;
-    initial.factor = factor;
-    initial.epoch_transfers = inst % 2 == 0 ? 0 : 6;
-    TunableScPolicy tunable(cm, seq.origin(), 0.0, nullptr, initial);
-    const auto a = run_policy(seq, cm, sc);
-    const auto b = run_policy(seq, cm, tunable);
-    ASSERT_TRUE(a.feasible);
-    ASSERT_TRUE(b.feasible);
-    EXPECT_NEAR(a.total_cost, b.total_cost, 1e-9) << "instance " << inst;
-    EXPECT_EQ(a.transfers, b.transfers);
-    EXPECT_EQ(a.hits, b.hits);
-  }
-}
-
-TEST(Policies, TunableScAppliesControllerDecisions) {
-  // A controller that pins the factor low must change costs relative to
-  // the static policy on a stream with re-use gaps between 0.25x and 1x
-  // of the base window.
-  struct PinLow final : WindowController {
-    WindowDecision on_interval(const WindowIntervalStats&,
-                               const WindowDecision& current) override {
-      WindowDecision d = current;
-      d.factor = 0.25;
-      return d;
-    }
-  };
-  const CostModel cm(1.0, 2.0);  // base window 2.0
-  std::vector<Request> reqs;
-  Time t = 0.0;
-  for (int i = 0; i < 40; ++i) {
-    t += 1.0;  // gaps of 1.0: inside the 2.0 window, outside 0.5
-    reqs.push_back({static_cast<ServerId>(i % 2), t});
-  }
-  const RequestSequence seq(2, std::move(reqs));
-  ScSimPolicy sc(cm, seq.origin());
-  PinLow controller;
-  TunableScPolicy tunable(cm, seq.origin(), 1.0, &controller);
-  const auto a = run_policy(seq, cm, sc);
-  const auto b = run_policy(seq, cm, tunable);
-  ASSERT_TRUE(a.feasible);
-  ASSERT_TRUE(b.feasible);
-  // Static SC holds both copies the whole run (every gap refreshes);
-  // the pinned-low window expires the idle copy and re-transfers.
-  EXPECT_GT(b.transfers, a.transfers);
-  EXPECT_LT(b.caching_cost, a.caching_cost);
-}
-
-TEST(Policies, TunableScRejectsControllerWithoutInterval) {
-  struct Noop final : WindowController {
-    WindowDecision on_interval(const WindowIntervalStats&,
-                               const WindowDecision& current) override {
-      return current;
-    }
-  };
-  const CostModel cm(1.0, 1.0);
-  Noop controller;
-  EXPECT_THROW(TunableScPolicy(cm, 0, 0.0, &controller),
-               std::invalid_argument);
-}
-
 TEST(Policies, RandomizedSkiRentalFeasibleAndBounded) {
   Rng rng(7);
   Rng policy_rng(99);
   const CostModel cm(1.0, 1.0);
   for (int inst = 0; inst < 15; ++inst) {
     const auto seq = random_sequence(rng, 4, 50);
-    RandomizedSkiRentalPolicy policy(cm, seq.origin(), policy_rng);
+    auto policy = ScSimPolicy::ski_rental(cm, seq.origin(), policy_rng);
     const auto res = run_policy(seq, cm, policy);
     ASSERT_TRUE(res.feasible) << res.violations.front();
     const auto v = validate_schedule(res.schedule, seq);
@@ -241,7 +169,10 @@ TEST(Policies, AllPoliciesProduceValidSchedules) {
   policies.push_back(std::make_unique<StaticHomePolicy>(seq.origin()));
   policies.push_back(std::make_unique<FullReplicationPolicy>(seq.origin()));
   policies.push_back(std::make_unique<LruKPolicy>(seq.m(), seq.origin(), 3));
-  policies.push_back(std::make_unique<RandomizedSkiRentalPolicy>(cm, seq.origin(), prng));
+  policies.push_back(std::make_unique<ScSimPolicy>(
+      ScSimPolicy::ski_rental(cm, seq.origin(), prng)));
+  policies.push_back(std::make_unique<ScSimPolicy>(ScSimPolicy::predicted(
+      cm, seq.origin(), make_sequence_oracle(seq, 0.0, prng))));
   for (auto& p : policies) {
     const auto res = run_policy(seq, cm, *p);
     ASSERT_TRUE(res.feasible) << p->name() << ": " << res.violations.front();
@@ -249,6 +180,75 @@ TEST(Policies, AllPoliciesProduceValidSchedules) {
     EXPECT_TRUE(v.ok) << p->name() << ": " << v.to_string();
     EXPECT_NEAR(res.schedule.cost(cm), res.total_cost, 1e-7) << p->name();
   }
+}
+
+TEST(Policies, ScVariantsReproducePinnedResults) {
+  // The three SC window rules on one fixed stream, pinned bit for bit
+  // (values printed with %.17g, compared with ==). Restructuring the
+  // policy may change how a rule is constructed, never what it produces.
+  struct Pinned {
+    const char* label;
+    const char* name;
+    Cost total_cost, caching_cost, transfer_cost;
+    std::size_t transfers, hits, max_copies;
+    double mean_copies;
+  };
+  Rng rng(2017);
+  const CostModel cm(1.0, 2.0);
+  const auto seq = random_sequence(rng, 5, 120, 0.8);
+  const auto expect_pinned = [&](OnlinePolicy& policy, const Pinned& want) {
+    SCOPED_TRACE(want.label);
+    const auto got = run_policy(seq, cm, policy);
+    ASSERT_TRUE(got.feasible) << got.violations.front();
+    EXPECT_EQ(got.policy_name, want.name);
+    EXPECT_EQ(got.total_cost, want.total_cost);
+    EXPECT_EQ(got.caching_cost, want.caching_cost);
+    EXPECT_EQ(got.transfer_cost, want.transfer_cost);
+    EXPECT_EQ(got.transfers, want.transfers);
+    EXPECT_EQ(got.hits, want.hits);
+    EXPECT_EQ(got.max_copies, want.max_copies);
+    EXPECT_EQ(got.mean_copies, want.mean_copies);
+  };
+
+  ScSimPolicy sc(cm, seq.origin());
+  expect_pinned(sc, {"factor 1", "sc", 478.01955248804461, 320.01955248804461,
+                     158.0, 79, 41, 5, 1.9930646980471278});
+  ScSimPolicy sc_epoch(cm, seq.origin(), 7, 0.5);
+  expect_pinned(sc_epoch,
+                {"factor 0.5, epoch 7", "sc", 406.08652585004575,
+                 232.08652585004572, 174.0, 87, 33, 4, 1.4454224998686882});
+  ScSimPolicy sc_wide(cm, seq.origin(), static_cast<std::size_t>(-1), 4.0);
+  expect_pinned(sc_wide, {"factor 4", "sc", 633.61325234727371,
+                          563.61325234727371, 70.0, 35, 85, 5,
+                          3.5101532636723625});
+
+  Rng ski_rng_a(11);
+  auto ski_a = ScSimPolicy::ski_rental(cm, seq.origin(), ski_rng_a);
+  expect_pinned(ski_a, {"ski-rental, seed 11", "rand-ski", 422.76406884933783,
+                        256.76406884933783, 166.0, 83, 37, 5, 1.59911292098215});
+  Rng ski_rng_b(12);
+  auto ski_b = ScSimPolicy::ski_rental(cm, seq.origin(), ski_rng_b);
+  expect_pinned(ski_b, {"ski-rental, seed 12", "rand-ski", 418.00923285063283,
+                        258.00923285063283, 160.0, 80, 40, 4,
+                        1.6068677359456915});
+
+  Rng unused_rng(1);  // a noise-free oracle never draws
+  auto perfect = ScSimPolicy::predicted(
+      cm, seq.origin(), make_sequence_oracle(seq, 0.0, unused_rng));
+  expect_pinned(perfect, {"perfect oracle", "predictive-sc", 320.56405894630859,
+                          162.56405894630859, 158.0, 79, 41, 2,
+                          1.0124402854080117});
+  Rng noise_rng(3);
+  auto noisy = ScSimPolicy::predicted(
+      cm, seq.origin(), make_sequence_oracle(seq, 0.5, noise_rng));
+  expect_pinned(noisy, {"noise 0.5 oracle", "predictive-sc", 311.19066690882164,
+                        173.19066690882164, 138.0, 69, 51, 4,
+                        1.0786222328090613});
+  auto adversarial = ScSimPolicy::predicted(
+      cm, seq.origin(), make_adversarial_oracle(seq, cm.speculation_window()));
+  expect_pinned(adversarial,
+                {"adversarial oracle", "predictive-sc", 534.53617422277273,
+                 310.53617422277273, 224.0, 112, 8, 4, 1.9340027242027424});
 }
 
 TEST(PolicyRunner, DetectsNonServingPolicy) {
@@ -343,8 +343,8 @@ TEST(PredictiveSc, PerfectOracleFeasibleAndNoWorseThanSc) {
   double pred_total = 0.0, sc_total = 0.0;
   for (int inst = 0; inst < 20; ++inst) {
     const auto seq = random_sequence(rng, 5, 60);
-    PredictiveScPolicy policy(cm, seq.origin(),
-                              make_sequence_oracle(seq, 0.0, dummy));
+    auto policy = ScSimPolicy::predicted(
+        cm, seq.origin(), make_sequence_oracle(seq, 0.0, dummy));
     const auto res = run_policy(seq, cm, policy);
     ASSERT_TRUE(res.feasible) << res.violations.front();
     const auto v = validate_schedule(res.schedule, seq);
@@ -362,7 +362,7 @@ TEST(PredictiveSc, AdversarialOracleStillFeasible) {
   const CostModel cm(1.0, 1.0);
   for (int inst = 0; inst < 10; ++inst) {
     const auto seq = random_sequence(rng, 4, 40);
-    PredictiveScPolicy policy(
+    auto policy = ScSimPolicy::predicted(
         cm, seq.origin(), make_adversarial_oracle(seq, cm.speculation_window()));
     const auto res = run_policy(seq, cm, policy);
     ASSERT_TRUE(res.feasible) << res.violations.front();
