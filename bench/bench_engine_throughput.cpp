@@ -199,7 +199,6 @@ int main(int argc, char** argv) {
 
   EngineConfig ecfg;
   ecfg.queue_capacity = static_cast<std::size_t>(args.get_int("queue-cap"));
-  ecfg.deterministic = true;
 
   auto pass = [&](Row& row) {
     if (row.shards == 0) {

@@ -192,7 +192,6 @@ int main(int argc, char** argv) {
     auto engine_pass = [&](EngineRow& row) {
       EngineConfig ec;
       ec.num_shards = 2;
-      ec.deterministic = true;
       ec.telemetry = row.telemetry;
       ec.service_options.observer = row.observer ? &engine_hooks : nullptr;
       Timer timer;

@@ -5,9 +5,8 @@
 //   trace_tool solve --in=trace.csv [--mu=1] [--lambda=1] [--dot=graph.dot]
 //                    [--algo=dp|quadratic|exact]
 //   trace_tool online --in=trace.csv [--mu=1] [--lambda=1] [--epoch=0]
-//   trace_tool serve --in=multi.csv [--engine --shards=4 --queue-cap=1024
-//                    --policy=block|drop|spill
-//                    --engine-config=shards=4,cap=1024,...
+//   trace_tool serve --in=multi.csv [--engine
+//                    --engine-config=shards=4,cap=1024,policy=block,...
 //                    --producers=4] [--verify]
 //                    [--telemetry-out=trace.json --prom-out=metrics.prom]
 //   trace_tool scenario [--scenario-config=family=flash,servers=8,...]
@@ -291,15 +290,7 @@ int cmd_serve(const ArgParser& args) {
 
   ServiceReport rep;
   if (args.get_bool("engine")) {
-    EngineConfig cfg;
-    if (args.has("engine-config")) {
-      cfg = EngineConfig::parse(args.get("engine-config"));
-    } else {
-      cfg.num_shards = static_cast<int>(args.get_int("shards"));
-      cfg.queue_capacity = static_cast<std::size_t>(args.get_int("queue-cap"));
-      cfg.policy = parse_backpressure_policy(args.get("policy").c_str());
-      cfg.deterministic = !args.get_bool("no-determinism");
-    }
+    EngineConfig cfg = EngineConfig::parse(args.get("engine-config"));
     cfg.service_options.observer = telemetry.get();
     // --telemetry-out/--prom-out force pipeline telemetry on; default the
     // sampler to 5 ms so short replays still land a few counter samples.
@@ -475,12 +466,8 @@ int main(int argc, char** argv) {
   args.add_flag("trace-out", "write the obs event stream (JSONL) here");
   args.add_flag("items", "items for --kind=multi", "50");
   args.add_bool_flag("engine", "serve: use the sharded streaming engine");
-  args.add_flag("shards", "serve --engine: shard count (0 = hw threads)", "4");
-  args.add_flag("queue-cap", "serve --engine: per-lane ring capacity", "1024");
-  args.add_flag("policy", "serve --engine: backpressure block|drop|spill", "block");
-  args.add_flag("engine-config", "serve --engine: EngineConfig string (overrides the individual engine flags)");
+  args.add_flag("engine-config", "serve --engine: EngineConfig string, e.g. shards=4,cap=1024,policy=block (omitted keys keep their defaults)");
   args.add_flag("producers", "serve --engine: concurrent ingestion sessions", "1");
-  args.add_bool_flag("no-determinism", "serve --engine: allow lossy policies");
   args.add_bool_flag("verify", "serve --engine: check bit-identity vs serial");
   args.add_flag("items-top", "serve: items shown in the report table", "10");
   args.add_flag("telemetry-out",

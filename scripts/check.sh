@@ -165,7 +165,7 @@ else
       && ./build-tsan/examples/trace_tool gen --out=build-tsan/mp_stress.csv \
            --kind=multi --requests=4000 --items=40 --servers=6 > /dev/null \
       && ./build-tsan/examples/trace_tool serve --in=build-tsan/mp_stress.csv \
-           --engine --engine-config=shards=4,cap=64,credits=8 \
+           --engine --engine-config=shards=4,cap=64 \
            --producers=8 --verify > /dev/null; then
     record PASS "multi-producer TSan stress (>=8 producers, x$MULTI_PRODUCER)"
   else

@@ -16,19 +16,8 @@ const char* to_string(BackpressurePolicy policy) {
       return "block";
     case BackpressurePolicy::kDrop:
       return "drop";
-    case BackpressurePolicy::kSpill:
-      return "spill";
   }
   MCDC_UNREACHABLE("bad BackpressurePolicy %d", static_cast<int>(policy));
-}
-
-BackpressurePolicy parse_backpressure_policy(const char* name) {
-  const std::string s(name);
-  if (s == "block") return BackpressurePolicy::kBlock;
-  if (s == "drop") return BackpressurePolicy::kDrop;
-  if (s == "spill") return BackpressurePolicy::kSpill;
-  throw std::invalid_argument("unknown backpressure policy: " + s +
-                              " (expected block|drop|spill)");
 }
 
 std::string EngineConfig::to_string() const {
@@ -37,9 +26,6 @@ std::string EngineConfig::to_string() const {
   out += ",cap=" + std::to_string(queue_capacity);
   out += ",policy=";
   out += mcdc::to_string(policy);
-  out += ",deterministic=";
-  out += deterministic ? "true" : "false";
-  out += ",credits=" + std::to_string(producer_credits);
   out += ",telemetry=";
   out += telemetry ? "on" : "off";
   out += ",sample_ms=" + std::to_string(sample_ms);
@@ -50,7 +36,7 @@ std::string EngineConfig::to_string() const {
 EngineConfig EngineConfig::parse(const std::string& text) {
   static const std::string kCtx = "EngineConfig";
   static const std::string kKeys =
-      "shards|cap|policy|deterministic|credits|telemetry|sample_ms|cost";
+      "shards|cap|policy|telemetry|sample_ms|cost";
   EngineConfig cfg;
   kvform::for_each_kv(
       kCtx, text, ',', kKeys,
@@ -62,15 +48,13 @@ EngineConfig EngineConfig::parse(const std::string& text) {
           cfg.queue_capacity = static_cast<std::size_t>(
               kvform::parse_u64(kCtx, key, value, "a queue capacity > 0"));
         } else if (key == "policy") {
-          if (value != "block" && value != "drop" && value != "spill") {
-            kvform::bad_value(kCtx, key, value, "block|drop|spill");
+          if (value == "block") {
+            cfg.policy = BackpressurePolicy::kBlock;
+          } else if (value == "drop") {
+            cfg.policy = BackpressurePolicy::kDrop;
+          } else {
+            kvform::bad_value(kCtx, key, value, "block|drop");
           }
-          cfg.policy = parse_backpressure_policy(value.c_str());
-        } else if (key == "deterministic") {
-          cfg.deterministic = kvform::parse_bool(kCtx, key, value);
-        } else if (key == "credits") {
-          cfg.producer_credits = static_cast<std::size_t>(kvform::parse_u64(
-              kCtx, key, value, "a credit window >= 0; 0 = off"));
         } else if (key == "telemetry") {
           cfg.telemetry = kvform::parse_on_off(kCtx, key, value);
         } else if (key == "sample_ms") {

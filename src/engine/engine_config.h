@@ -10,20 +10,13 @@ namespace mcdc {
 
 /// What a producer experiences when its ingest lane on a shard is full.
 enum class BackpressurePolicy {
-  kBlock,  ///< wait until the shard drains — lossless, bounded memory
+  kBlock,  ///< wait until the shard drains — lossless, bounded memory; the
+           ///< determinism contract (docs/ENGINE.md) holds under this policy
   kDrop,   ///< reject what does not fit (submit_span() returns the accepted
            ///< count) — lossy, bounded
-  kSpill,  ///< park what does not fit in a per-lane side-car, counting
-           ///< spilled entries — lossless, unbounded memory (the worker
-           ///< splices the side-car in FIFO position, so ordering is
-           ///< preserved)
 };
 
 const char* to_string(BackpressurePolicy policy);
-
-/// Parse "block" | "drop" | "spill"; throws std::invalid_argument otherwise
-/// (CLI surface for trace_tool / benches).
-BackpressurePolicy parse_backpressure_policy(const char* name);
 
 struct EngineConfig {
   /// Number of shards (worker threads). 0 = one per hardware thread.
@@ -34,30 +27,18 @@ struct EngineConfig {
   /// power of two by the ring itself.
   std::size_t queue_capacity = 1024;
 
+  /// `policy=block` (the default) is lossless: per-item outcomes and
+  /// aggregate ServiceReport totals are bit-identical to the serial
+  /// OnlineDataService on the same stream (item independence makes this
+  /// exact; see docs/ENGINE.md "Determinism contract"). `policy=drop`
+  /// drops what does not fit.
   BackpressurePolicy policy = BackpressurePolicy::kBlock;
 
-  /// Deterministic mode: forces kBlock (no losses) and enables the shard
-  /// replay-order contract checks, so per-item outcomes and aggregate
-  /// ServiceReport totals are bit-identical to the serial
-  /// OnlineDataService on the same stream (item independence makes this
-  /// exact; see docs/ENGINE.md "Determinism contract").
-  bool deterministic = true;
-
-  /// Per-producer soft credit window: when a session has this many
-  /// requests in flight (submitted but not yet retired by shard workers),
-  /// further submits record a credit_throttles event and yield once
-  /// before enqueueing. 0 disables the window. The window is accounting
-  /// plus pacing, never a hard block — a producer hard-blocked on credits
-  /// can deadlock the deterministic merge (docs/ENGINE.md derives the
-  /// cycle); the bounded queue remains the hard backpressure.
-  std::size_t producer_credits = 0;
-
   /// Pipeline telemetry: per-shard stage latency histograms (queue-wait,
-  /// merge-stall, batch apply, end-to-end submit->retire), per-shard span
-  /// rings for the Chrome-trace export, and per-producer credit-wait
-  /// accounting. Off by default — the off path costs one branch per
-  /// submit and per batch (held under the <2% gate in
-  /// bench_obs_overhead). Everything telemetry records into is
+  /// merge-stall, batch apply, end-to-end submit->retire) and per-shard
+  /// span rings for the Chrome-trace export. Off by default — the off
+  /// path costs one branch per submit and per batch (held under the <2%
+  /// gate in bench_obs_overhead). Everything telemetry records into is
   /// pre-allocated at construction/open_producer, so telemetry-on keeps
   /// steady-state ingest allocation-free; submit timestamps never
   /// participate in the deterministic merge order (bit-identity is
@@ -91,7 +72,7 @@ struct EngineConfig {
   std::string cost = "hom";
 
   /// Canonical textual form of the scalar fields, e.g.
-  /// "shards=4,cap=1024,policy=block,deterministic=true,credits=0,telemetry=off,sample_ms=0,cost=hom".
+  /// "shards=4,cap=1024,policy=block,telemetry=off,sample_ms=0,cost=hom".
   /// service_options (pointers, speculation knobs) is not part of the
   /// string form. parse(to_string()) round-trips exactly (property test).
   std::string to_string() const;
@@ -100,7 +81,7 @@ struct EngineConfig {
   /// Keys may appear in any order and be omitted (defaults apply). Errors
   /// name the offending key or token and the valid choices — e.g.
   /// `EngineConfig: unknown value "blok" for key "policy" (expected
-  /// block|drop|spill)` — and throw std::invalid_argument.
+  /// block|drop)` — and throw std::invalid_argument.
   static EngineConfig parse(const std::string& text);
 };
 

@@ -10,12 +10,11 @@ std::string EngineStats::to_string() const {
   std::ostringstream os;
   os << shards.size() << " shards: " << submitted << " submitted";
   if (dropped > 0) os << ", " << dropped << " dropped";
-  if (spilled > 0) os << ", " << spilled << " spilled";
   os << ", " << stalls << " enqueue stalls";
 
   Table t({"shard", "items", "requests", "max depth", "stalls", "drops",
-           "spills", "batches", "mean batch", "max batch", "merge peak",
-           "merge stalls", "ties", "arena KiB", "cost"});
+           "batches", "mean batch", "max batch", "merge peak", "merge stalls",
+           "ties", "arena KiB", "cost"});
   for (const auto& s : shards) {
     t.add_row({std::to_string(s.shard),
                Table::integer(static_cast<long long>(s.items)),
@@ -23,7 +22,6 @@ std::string EngineStats::to_string() const {
                Table::integer(static_cast<long long>(s.queue.max_depth)),
                Table::integer(static_cast<long long>(s.queue.stalls)),
                Table::integer(static_cast<long long>(s.queue.dropped)),
-               Table::integer(static_cast<long long>(s.queue.spilled)),
                Table::integer(static_cast<long long>(s.batches.batches)),
                Table::num(s.batches.mean_batch(), 2),
                Table::integer(static_cast<long long>(s.batches.max_batch)),
@@ -35,17 +33,13 @@ std::string EngineStats::to_string() const {
   }
   os << "\n" << t.render();
   if (producers.size() > 1) {
-    Table p({"producer", "submitted", "dropped", "retired", "throttles",
-             "max in-flight", "credit wait us"});
+    Table p({"producer", "submitted", "dropped", "retired", "max in-flight"});
     for (const auto& pr : producers) {
       p.add_row({std::to_string(pr.producer),
                  Table::integer(static_cast<long long>(pr.submitted)),
                  Table::integer(static_cast<long long>(pr.dropped)),
                  Table::integer(static_cast<long long>(pr.retired)),
-                 Table::integer(static_cast<long long>(pr.credit_throttles)),
-                 Table::integer(static_cast<long long>(pr.max_in_flight)),
-                 Table::num(static_cast<double>(pr.credit_wait_ns) / 1e3,
-                            1)});
+                 Table::integer(static_cast<long long>(pr.max_in_flight))});
     }
     os << "\n" << p.render();
   }

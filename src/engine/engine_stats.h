@@ -22,9 +22,8 @@ namespace mcdc {
 /// assembled once after the worker joined (docs/ENGINE.md, "Queue
 /// statistics under ring lanes").
 struct QueueStats {
-  std::uint64_t enqueued = 0;   ///< accepted pushes (includes spilled)
+  std::uint64_t enqueued = 0;   ///< accepted pushes
   std::uint64_t dropped = 0;    ///< rejected pushes (kDrop on a full ring)
-  std::uint64_t spilled = 0;    ///< pushes parked in the side-car (kSpill)
   std::uint64_t stalls = 0;     ///< producer waits (kBlock on a full ring)
   std::size_t max_depth = 0;    ///< sum of per-lane depth high-water marks
   std::size_t depth = 0;        ///< depth left at snapshot time
@@ -48,19 +47,13 @@ struct ShardStats {
   std::uint64_t ties_broken = 0;   ///< equal-time heads ordered by (producer, seq)
 };
 
-/// Per-producer ingestion accounting, snapshot by finish(). The credit
-/// window (EngineConfig::producer_credits) is soft — accounting and
-/// pacing, never a hard block — so throttle counts and the in-flight peak
-/// are the backpressure signal a producer actually observes.
+/// Per-producer ingestion accounting, snapshot by finish().
 struct ProducerStats {
   std::uint32_t producer = 0;
-  std::uint64_t submitted = 0;        ///< records submitted (accepted or dropped)
-  std::uint64_t dropped = 0;          ///< lost to kDrop backpressure
-  std::uint64_t retired = 0;          ///< processed by shard workers
-  std::uint64_t credit_throttles = 0; ///< submits over the credit window
-  std::uint64_t max_in_flight = 0;    ///< peak submitted - retired
-  std::uint64_t credit_wait_ns = 0;   ///< wall time in throttle yields
-                                      ///< (0 unless telemetry is on)
+  std::uint64_t submitted = 0;      ///< records submitted (accepted or dropped)
+  std::uint64_t dropped = 0;        ///< lost to kDrop backpressure
+  std::uint64_t retired = 0;        ///< processed by shard workers
+  std::uint64_t max_in_flight = 0;  ///< peak submitted - dropped - retired
 };
 
 struct EngineStats {
@@ -69,12 +62,12 @@ struct EngineStats {
 
   std::uint64_t submitted = 0;  ///< records submitted, accepted or dropped
   std::uint64_t dropped = 0;    ///< lost to kDrop backpressure
-  std::uint64_t spilled = 0;    ///< pushed past capacity under kSpill
   std::uint64_t stalls = 0;     ///< producer waits under kBlock
 
   /// Totals plus util/table.h breakdowns: per shard (queue pressure, batch
   /// amortization, merge behaviour, cost share) and — when more than one
-  /// producer fed the engine — per producer (credit accounting).
+  /// producer fed the engine — per producer (loss and in-flight
+  /// accounting).
   std::string to_string() const;
 };
 

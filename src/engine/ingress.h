@@ -19,8 +19,7 @@
 // Transport: one lock-free SpscRing per producer×shard lane — each lane
 // has exactly one writer (the session) and one reader (the shard worker),
 // so the hot path is wait-free loads/stores (spsc_ring.h carries the
-// memory-ordering proof). kSpill overflow lives in a mutex-guarded
-// side-car touched only when a ring is actually full.
+// memory-ordering proof).
 //
 // Threading contract:
 //  * open_producer() calls must all happen before the first submit
@@ -34,8 +33,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -78,10 +75,7 @@ struct ProducerState {
   // Producer-thread-only (read by finish() after the quiesce contract).
   Time last_time = 0.0;
   std::uint64_t seq = 0;
-  std::uint64_t credit_throttles = 0;  ///< spans over the credit window
-  std::uint64_t max_in_flight = 0;     ///< peak submitted - retired
-  std::uint64_t credit_wait_ns = 0;    ///< wall time spent in throttle yields
-                                       ///< (measured only with telemetry on)
+  std::uint64_t max_in_flight = 0;  ///< peak submitted - dropped - retired
 
   /// This producer's ring lane on each shard (index = shard).
   /// Shard-owned; filled at open_producer.
@@ -96,9 +90,7 @@ struct ProducerState {
   // Registry handles (created at open_producer when an observer with a
   // metrics registry is attached; published once at session close).
   obs::Counter* m_submitted = nullptr;
-  obs::Counter* m_credit_throttles = nullptr;
   obs::Gauge* m_max_in_flight = nullptr;
-  obs::Counter* m_credit_wait_ns = nullptr;  ///< telemetry only
 };
 
 /// One element of a shard's ingest lane: a stamped request. Lifecycle
@@ -127,13 +119,13 @@ static_assert(sizeof(IngressRecord) == 40 && alignof(IngressRecord) == 8,
               "IngressRecord layout changed — revisit queue capacity and "
               "resident-bytes accounting before accepting the new size");
 
-/// One producer×shard ingest lane: a wait-free ring plus the spill
-/// side-car and the lane's share of QueueStats. Owned by the shard; the
-/// producer holds a raw pointer (ProducerState::lanes).
+/// One producer×shard ingest lane: a wait-free ring plus the lane's
+/// share of QueueStats. Owned by the shard; the producer holds a raw
+/// pointer (ProducerState::lanes).
 ///
 /// Counter ownership is single-writer by design: `enqueued`, `dropped`,
-/// `spilled`, `stalls` are written by the producer thread only and read
-/// by the shard only after the worker joined (the drain snapshot);
+/// `stalls` are written by the producer thread only and read by the
+/// shard only after the worker joined (the drain snapshot);
 /// `max_depth_seen` is worker-only. No atomics needed, no torn reads
 /// possible — stats() publishes one post-quiesce snapshot.
 struct SpscLane {
@@ -145,45 +137,11 @@ struct SpscLane {
   // Producer-thread-only counters (read at drain, after quiesce).
   std::uint64_t enqueued = 0;
   std::uint64_t dropped = 0;
-  std::uint64_t spilled = 0;
   std::uint64_t stalls = 0;
 
-  /// kSpill overflow side-car: when the ring is full the producer parks
-  /// records here (FIFO) instead of blocking or dropping. The mutex is
-  /// touched ONLY on that overflow path and by the worker's splice; the
-  /// common path stays lock-free. `overflow_count` mirrors the deque size
-  /// so both sides can check emptiness without the lock. Ordering: the
-  /// producer never pushes to the ring while overflow is non-empty, and
-  /// drain() splices overflow only after a ring drain that follows its
-  /// acquire of a non-zero count — together that keeps the lane FIFO
-  /// exact (docs/ENGINE.md).
-  std::mutex spill_mu;
-  std::deque<IngressRecord> overflow;
-  std::atomic<std::size_t> overflow_count{0};
-
-  // Worker-side high-water sample of this lane's depth (ring + overflow),
-  // taken at each drain; summed across lanes at the final snapshot.
+  // Worker-side high-water sample of this lane's ring depth, taken at
+  // each drain; summed across lanes at the final snapshot.
   std::size_t max_depth_seen = 0;
-
-  /// Worker side: feed everything the lane holds to `sink` in lane FIFO
-  /// order — the ring, then the spill side-car — and return the count.
-  template <typename F>
-  std::size_t drain(F&& sink) {
-    std::size_t got = ring.consume_all(sink);
-    if (overflow_count.load(std::memory_order_acquire) > 0) {
-      // consume_all read the tail once. Since then the producer may have
-      // pushed more records into the ring and parked the rest; the acquire
-      // above makes those pushes visible, and they precede every parked
-      // record, so take them before the splice.
-      got += ring.consume_all(sink);
-      const std::lock_guard<std::mutex> lk(spill_mu);
-      for (const IngressRecord& r : overflow) sink(r);
-      got += overflow.size();
-      overflow.clear();
-      overflow_count.store(0, std::memory_order_relaxed);
-    }
-    return got;
-  }
 };
 
 /// A producer's handle into the engine. Move-only; single-threaded;
@@ -214,15 +172,15 @@ class IngressSession {
   /// == batch.size() unless kDrop backpressure rejected some.
   std::size_t submit_span(std::span<const MultiItemRequest> batch);
 
-  /// Announce end-of-stream: flushes any spill overflow and releases the
-  /// merge from waiting on this producer's watermark. Idempotent;
-  /// finish() force-closes any session left open.
+  /// Announce end-of-stream: releases the merge from waiting on this
+  /// producer's watermark. Idempotent; finish() force-closes any session
+  /// left open.
   void close();
 
   bool closed() const;
 
-  /// Requests submitted but not yet processed by shard workers (the
-  /// quantity the credit window throttles).
+  /// Requests submitted but neither dropped nor yet processed by shard
+  /// workers (the quantity ProducerStats::max_in_flight peaks over).
   std::uint64_t in_flight() const;
 
  private:

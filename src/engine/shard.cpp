@@ -10,16 +10,6 @@ namespace mcdc {
 
 namespace {
 
-BackpressurePolicy effective_policy(const EngineConfig& cfg) {
-  // Deterministic mode must be lossless: a dropped request would change
-  // per-item outcomes, so kDrop is overridden to kBlock. kSpill is already
-  // lossless and order-preserving, hence allowed.
-  if (cfg.deterministic && cfg.policy == BackpressurePolicy::kDrop) {
-    return BackpressurePolicy::kBlock;
-  }
-  return cfg.policy;
-}
-
 // How long a merge-stalled (or idle ring-polling) worker sleeps between
 // re-checks. Watermarks and ring tails advance without signalling this
 // shard (a ring push is just a store), so the waiting states poll.
@@ -47,8 +37,7 @@ EngineShard::EngineShard(int index, int num_servers, const ServingCostModel& cm,
                          const SpeculativeCachingOptions& options,
                          obs::MetricsRegistry* telemetry_registry)
     : index_(index),
-      deterministic_(cfg.deterministic),
-      policy_(effective_policy(cfg)),
+      policy_(cfg.policy),
       lane_capacity_(cfg.queue_capacity),
       service_(num_servers, cm, options) {
   obs::Observer* ob = options.observer;
@@ -117,56 +106,28 @@ void EngineShard::freeze_lanes() {
 std::size_t EngineShard::lane_push_span(SpscLane& lane,
                                         const IngressRecord* data,
                                         std::size_t n) {
-  if (n == 0) return 0;
-  switch (policy_) {
-    case BackpressurePolicy::kBlock: {
-      std::size_t done = lane.ring.try_push_span(data, n);
-      if (done < n) {
-        // One stall episode per span. The worker always drains rings (even
-        // merge-stalled or after a failure), so this loop terminates.
-        ++lane.stalls;
-        std::size_t spins = 0;
-        while (done < n) {
-          if (++spins <= kSpinYields) {
-            std::this_thread::yield();
-          } else {
-            std::this_thread::sleep_for(kStallRecheck);
-          }
-          done += lane.ring.try_push_span(data + done, n - done);
-        }
+  std::size_t done = lane.ring.try_push_span(data, n);
+  if (policy_ == BackpressurePolicy::kDrop) {
+    lane.dropped += n - done;
+    lane.enqueued += done;
+    return done;
+  }
+  if (done < n) {
+    // One stall episode per span. The worker always drains rings (even
+    // merge-stalled or after a failure), so this loop terminates.
+    ++lane.stalls;
+    std::size_t spins = 0;
+    while (done < n) {
+      if (++spins <= kSpinYields) {
+        std::this_thread::yield();
+      } else {
+        std::this_thread::sleep_for(kStallRecheck);
       }
-      lane.enqueued += n;
-      return n;
-    }
-    case BackpressurePolicy::kDrop: {
-      const std::size_t done = lane.ring.try_push_span(data, n);
-      lane.dropped += n - done;
-      lane.enqueued += done;
-      return done;
-    }
-    case BackpressurePolicy::kSpill: {
-      // Lossless overflow: records that do not fit park in the locked
-      // side-car. The ring is only used while the side-car is empty —
-      // otherwise ring records could overtake parked ones and break the
-      // lane's FIFO. overflow_count is producer-raised / worker-cleared,
-      // so a producer-side read of 0 is exact ("the worker spliced
-      // everything I ever parked").
-      std::size_t done = 0;
-      if (lane.overflow_count.load(std::memory_order_relaxed) == 0) {
-        done = lane.ring.try_push_span(data, n);
-      }
-      if (done < n) {
-        const std::lock_guard<std::mutex> lk(lane.spill_mu);
-        lane.overflow.insert(lane.overflow.end(), data + done, data + n);
-        lane.overflow_count.store(lane.overflow.size(),
-                                  std::memory_order_release);
-        lane.spilled += n - done;
-      }
-      lane.enqueued += n;
-      return n;
+      done += lane.ring.try_push_span(data + done, n - done);
     }
   }
-  MCDC_UNREACHABLE("bad BackpressurePolicy %d", static_cast<int>(policy_));
+  lane.enqueued += n;
+  return n;
 }
 
 void EngineShard::run() {
@@ -217,7 +178,7 @@ void EngineShard::run() {
       }
       if (!single) {
         // Merge-safety protocol, ring edition: snapshot every open lane's
-        // watermark, THEN fully drain every ring (and spill side-car).
+        // watermark, THEN fully drain every ring.
         // The producer's watermark release-store follows its pushes, so a
         // snapshot >= t guarantees the drain below sees every record at
         // or before t — an empty lane with wm_snap >= t may be overtaken.
@@ -317,14 +278,13 @@ void EngineShard::run() {
     }
   } catch (...) {
     failure_ = std::current_exception();
-    // Keep consuming rings and side-cars so a kBlock producer spinning on
-    // a full ring cannot deadlock; the exception resurfaces from
-    // drain_and_finish().
+    // Keep consuming rings so a kBlock producer spinning on a full ring
+    // cannot deadlock; the exception resurfaces from drain_and_finish().
     for (;;) {
       const bool stopping = stop_.load(std::memory_order_acquire);
       std::size_t got = 0;
       for (const std::unique_ptr<SpscLane>& l : spsc_lanes_) {
-        got += l->drain([](const IngressRecord&) {});
+        got += l->ring.consume_all([](const IngressRecord&) {});
       }
       if (stopping) break;
       if (got == 0) std::this_thread::sleep_for(kStallRecheck);
@@ -335,15 +295,12 @@ void EngineShard::run() {
 std::size_t EngineShard::drain_lane(SpscLane& src, Lane& ml, bool single,
                                     std::uint64_t deq_ns) {
   // High-water sample (worker-only): lane depth just before the drain.
-  const std::size_t depth =
-      src.ring.size_approx() +
-      src.overflow_count.load(std::memory_order_relaxed);
+  const std::size_t depth = src.ring.size_approx();
   if (depth > src.max_depth_seen) src.max_depth_seen = depth;
   const bool tele = (queue_wait_ns_ != nullptr);
   auto sink = [&](const IngressRecord& r) {
     // Per-lane replay order: a session's stream reaches its shard as a
-    // strictly-increasing (time, seq) FIFO — across the ring AND the
-    // spill side-car (SpscLane::drain keeps them in lane order).
+    // strictly-increasing (time, seq) FIFO.
     MCDC_INVARIANT(!ml.saw_any ||
                        (r.time > ml.last_time && r.seq > ml.last_seq),
                    "shard %d: lane %u order broken at t=%.12g seq=%llu",
@@ -376,7 +333,7 @@ std::size_t EngineShard::drain_lane(SpscLane& src, Lane& ml, bool single,
       }
     }
   };
-  return src.drain(sink);
+  return src.ring.consume_all(sink);
 }
 
 MCDC_DETERMINISTIC
@@ -444,14 +401,14 @@ bool EngineShard::process_eligible(bool flush_all) {
 
 MCDC_NO_ALLOC MCDC_HOT_PATH
 void EngineShard::process_record(const IngressRecord& r) {
-  if (deterministic_) {
-    // Merge-order contract: emitted times are non-decreasing (equal times
-    // only across distinct producers; the per-lane check in drain_lane
-    // already guarantees strict increase within a producer).
-    MCDC_INVARIANT(!saw_request_ || r.time >= last_time_seen_,
-                   "shard %d merge order broken: t=%.12g after %.12g", index_,
-                   r.time, last_time_seen_);
-  }
+  // Merge-order contract: emitted times are non-decreasing (equal times
+  // only across distinct producers; the per-lane check in drain_lane
+  // already guarantees strict increase within a producer). It holds under
+  // kDrop too: a dropped record never reaches the merge, and the
+  // watermark still advances to the span's last time.
+  MCDC_INVARIANT(!saw_request_ || r.time >= last_time_seen_,
+                 "shard %d merge order broken: t=%.12g after %.12g", index_,
+                 r.time, last_time_seen_);
   saw_request_ = true;
   last_time_seen_ = r.time;
   service_.value.request(r.item, r.server, r.time);
@@ -493,11 +450,9 @@ ServiceReport EngineShard::drain_and_finish() {
   for (const std::unique_ptr<SpscLane>& l : spsc_lanes_) {
     queue_stats_.enqueued += l->enqueued;
     queue_stats_.dropped += l->dropped;
-    queue_stats_.spilled += l->spilled;
     queue_stats_.stalls += l->stalls;
     queue_stats_.max_depth += l->max_depth_seen;
-    queue_stats_.depth += l->ring.size_approx() +
-                          l->overflow_count.load(std::memory_order_relaxed);
+    queue_stats_.depth += l->ring.size_approx();
   }
   // Arena footprint at its peak — finish() releases the recording vectors
   // into the report, so sample first.
@@ -521,8 +476,7 @@ std::size_t EngineShard::queue_depth() const {
   const std::lock_guard<std::mutex> lk(lanes_mu_);
   std::size_t depth = 0;
   for (const std::unique_ptr<SpscLane>& l : spsc_lanes_) {
-    depth += l->ring.size_approx() +
-             l->overflow_count.load(std::memory_order_relaxed);
+    depth += l->ring.size_approx();
   }
   return depth;
 }

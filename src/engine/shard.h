@@ -20,12 +20,8 @@
 // add_lane() at open_producer, sealed by freeze_lanes() at first submit).
 // Producers push with wait-free span publications; the worker polls
 // lanes, consuming each ring in one acquire/release pair. kBlock spins
-// the producer on ring space, kDrop rejects the tail of a span that does
-// not fit, kSpill parks overflow in a per-lane locked side-car that
-// SpscLane::drain splices after the ring (lock touched only when a ring
-// actually fills — the common path stays lock-free, and FIFO is exact
-// because a producer never pushes to the ring while its overflow is
-// non-empty).
+// the producer on ring space; kDrop rejects the tail of a span that does
+// not fit.
 //
 // Memory: the shard's service is its arena — item state lives in the
 // service-owned slab (docs/ENGINE.md "Memory model"), so steady-state
@@ -101,8 +97,7 @@ class EngineShard {
   int index() const { return index_; }
 
   /// Instantaneous ingest depth (any thread): sum of lane ring
-  /// occupancies plus spill side-cars. The TelemetrySampler's per-shard
-  /// probe.
+  /// occupancies. The TelemetrySampler's per-shard probe.
   std::size_t queue_depth() const;
 
   // Telemetry read-outs: null with telemetry off. The histograms are
@@ -136,7 +131,7 @@ class EngineShard {
   };
 
   void run();
-  /// Consume everything in `src` (SpscLane::drain): buffer into the merge
+  /// Consume everything in `src`'s ring: buffer into the merge
   /// lane `ml`, or — single-producer — into the SoA scratch (telemetry
   /// off) / straight through process_record (telemetry on). `deq_ns`
   /// feeds the queue-wait histogram (0 with telemetry off).
@@ -159,8 +154,7 @@ class EngineShard {
   void flush_retired();
 
   const int index_;
-  const bool deterministic_;
-  const BackpressurePolicy policy_;  ///< effective (deterministic kDrop->kBlock)
+  const BackpressurePolicy policy_;
   const std::size_t lane_capacity_;  ///< per-lane ring capacity
   CachePadded<OnlineDataService> service_;
   std::thread worker_;

@@ -5,12 +5,10 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "util/annotate.h"
 #include "util/concurrency.h"
 
 namespace mcdc {
@@ -30,7 +28,7 @@ std::size_t StreamingEngine::shard_of(int item, int num_shards) {
 
 StreamingEngine::StreamingEngine(int num_servers, const ServingCostModel& cm,
                                  const EngineConfig& cfg)
-    : num_servers_(num_servers), credits_(cfg.producer_credits) {
+    : num_servers_(num_servers) {
   if (num_servers <= 0) {
     throw std::invalid_argument("StreamingEngine: need at least one server");
   }
@@ -126,11 +124,7 @@ IngressSession StreamingEngine::open_producer() {
   if (reg != nullptr) {
     const obs::LabeledMetricFamily fam(*reg, "engine_producer", p->id);
     p->m_submitted = &fam.counter("submitted");
-    p->m_credit_throttles = &fam.counter("credit_throttles");
     p->m_max_in_flight = &fam.gauge("max_in_flight");
-    if (telemetry_registry_ != nullptr) {
-      p->m_credit_wait_ns = &fam.counter("credit_wait_ns");
-    }
   }
   producers_.push_back(std::move(owned));
   // Per-shard routing buckets for submit_span (capacity grows to the
@@ -177,7 +171,6 @@ std::size_t StreamingEngine::submit_span_from(
     // launches it.
     std::call_once(sampler_once_, [this] { start_sampler(); });
   }
-  credit_throttle(p, tele);
   // Wall-clock stamp feeding the queue-wait/e2e histograms — one read per
   // span; the merge NEVER consults it (bit-identity is stamp-blind).
   const std::uint64_t submit_ns = tele ? obs::telemetry_now_ns() : 0;
@@ -228,32 +221,6 @@ std::size_t StreamingEngine::submit_span_from(
     }
   }
   return accepted;
-}
-
-MCDC_NO_ALLOC MCDC_LOCK_FREE
-void StreamingEngine::credit_throttle(ProducerState& p, bool tele) {
-  if (credits_ == 0) return;
-  const std::uint64_t over = p.submitted.load(std::memory_order_relaxed) -
-                             p.dropped.load(std::memory_order_relaxed) -
-                             p.retired.load(std::memory_order_relaxed);
-  if (over < credits_) return;
-  // Soft credit window: account and yield once, never block. A hard
-  // block here can deadlock against the cross-producer merge — a shard
-  // worker may be stalled waiting on THIS producer's watermark while
-  // this producer waits on that worker's progress (derivation in
-  // docs/ENGINE.md). The bounded queue's kBlock remains the hard
-  // backpressure bound.
-  ++p.credit_throttles;
-  if (p.m_credit_throttles != nullptr) p.m_credit_throttles->inc();
-  if (tele) {
-    const std::uint64_t t0 = obs::telemetry_now_ns();
-    std::this_thread::yield();
-    const std::uint64_t dt = obs::telemetry_now_ns() - t0;
-    p.credit_wait_ns += dt;
-    if (p.m_credit_wait_ns != nullptr) p.m_credit_wait_ns->inc(dt);
-  } else {
-    std::this_thread::yield();
-  }
 }
 
 void StreamingEngine::close_producer(ProducerState* p) {
@@ -307,7 +274,6 @@ ServiceReport StreamingEngine::finish() {
   stats_.producers.clear();
   stats_.submitted = 0;
   stats_.dropped = 0;
-  stats_.spilled = 0;
   stats_.stalls = 0;
   // Workers are joined: every producer's retired count is final.
   for (const auto& p : producers_) {
@@ -316,9 +282,7 @@ ServiceReport StreamingEngine::finish() {
     ps.submitted = p->submitted.load(std::memory_order_acquire);
     ps.dropped = p->dropped.load(std::memory_order_acquire);
     ps.retired = p->retired.load(std::memory_order_acquire);
-    ps.credit_throttles = p->credit_throttles;
     ps.max_in_flight = p->max_in_flight;
-    ps.credit_wait_ns = p->credit_wait_ns;
     stats_.producers.push_back(ps);
     stats_.submitted += ps.submitted;
     stats_.dropped += ps.dropped;
@@ -326,7 +290,6 @@ ServiceReport StreamingEngine::finish() {
   std::size_t resident = 0;
   for (const auto& s : shards_) {
     stats_.shards.push_back(s->stats());
-    stats_.spilled += stats_.shards.back().queue.spilled;
     stats_.stalls += stats_.shards.back().queue.stalls;
     resident += stats_.shards.back().resident_bytes;
   }

@@ -16,15 +16,15 @@
 // number and shard workers merge the per-producer FIFOs back into one
 // time-ordered stream with a deterministic (producer_id, seq) tie-break
 // on equal timestamps. The submission API is the batched
-// IngressSession::submit_span() — one validation pass, one credit check,
-// one ring publication per shard touched, and one watermark advance for
-// a whole span of records. All sessions must be opened before the first
+// IngressSession::submit_span() — one validation pass, one ring
+// publication per shard touched, and one watermark advance for a whole
+// span of records. All sessions must be opened before the first
 // submit anywhere on the engine; each session is single-threaded, and
 // distinct sessions may submit concurrently from distinct threads.
 //
-// Determinism contract (asserted by the differential fuzz lane): with a
-// lossless policy (kBlock/kSpill, forced by EngineConfig::deterministic),
-// per-item outcomes AND aggregate ServiceReport totals are bit-identical
+// Determinism contract (asserted by the differential fuzz lane): under
+// policy=block (the default), per-item outcomes AND aggregate
+// ServiceReport totals are bit-identical
 // to the serial service on the canonically merged stream — same per-item
 // subsequences (stable shard_of hash + FIFO lanes + deterministic merge),
 // same floating-point summation order (finalize_report over
@@ -135,19 +135,12 @@ class StreamingEngine {
   friend class IngressSession;
 
   /// The session submit path: validates the WHOLE span first (nothing is
-  /// enqueued on a bad span), stamps (producer, seq), applies the soft
-  /// credit window once, buckets records per shard, enqueues each bucket
-  /// in one ring publication, then advances the watermark once to the
-  /// span's last time. Returns records accepted (== batch.size() except
-  /// under kDrop).
+  /// enqueued on a bad span), stamps (producer, seq), buckets records per
+  /// shard, enqueues each bucket in one ring publication, then advances
+  /// the watermark once to the span's last time. Returns records accepted
+  /// (== batch.size() except under kDrop).
   std::size_t submit_span_from(ProducerState& p,
                                std::span<const MultiItemRequest> batch);
-
-  /// The soft credit window: account and yield once when the producer's
-  /// in-flight count exceeds its credits — never block (a hard block can
-  /// deadlock against the cross-producer merge; docs/ENGINE.md). Atomics,
-  /// a yield, and — with `tele` — telemetry clock reads only.
-  void credit_throttle(ProducerState& p, bool tele);
 
   /// Idempotent: first closer marks the session closed (the workers'
   /// end-of-lane signal) and publishes the session's metrics.
@@ -159,7 +152,6 @@ class StreamingEngine {
   void start_sampler();
 
   int num_servers_;
-  std::size_t credits_ = 0;
   std::size_t sample_ms_ = 0;
   std::vector<std::unique_ptr<EngineShard>> shards_;
 

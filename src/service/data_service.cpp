@@ -171,10 +171,11 @@ bool OnlineDataService::request(int item, ServerId server, Time time) {
   if (server < 0 || server >= num_servers_) {
     throw std::invalid_argument("OnlineDataService: server out of range");
   }
-  if (time < last_time_) {
+  // Negated so NaN fails too. Nothing below writes service or item state
+  // until the request is accepted: a rejected request changes nothing.
+  if (!(time >= last_time_)) {
     throw std::invalid_argument("OnlineDataService: times must be non-decreasing");
   }
-  last_time_ = time;
 
   const int slot = index_.find(item);
   if (slot < 0) {
@@ -190,6 +191,7 @@ bool OnlineDataService::request(int item, ServerId server, Time time) {
     const std::size_t idx =
         items_.emplace(item, server, time, num_servers_, cm_, per_item);
     index_.insert(item, static_cast<int>(idx));
+    last_time_ = time;
     if (ob != nullptr) {
       ob->set_items_live(items_.size());
       ob->request_served(item, 0, server, time, /*hit=*/true, 0.0, 1);
@@ -197,9 +199,11 @@ bool OnlineDataService::request(int item, ServerId server, Time time) {
     return true;
   }
   ItemState& state = items_[static_cast<std::size_t>(slot)];
+  const bool local = state.cache.observe(server, time - state.birth);
+  last_time_ = time;
   state.last_time = time;
   ++state.requests;
-  return state.cache.observe(server, time - state.birth);
+  return local;
 }
 
 MCDC_NO_ALLOC MCDC_HOT_PATH

@@ -13,7 +13,7 @@
 //  * every error is a std::invalid_argument naming the config surface,
 //    the offending key or token, and the valid choices:
 //      `EngineConfig: unknown value "blok" for key "policy" (expected
-//       block|drop|spill)`
+//       block|drop)`
 //      `ScenarioConfig: malformed token "x" (expected key=value with key
 //       in family|servers|...)`.
 #pragma once
@@ -67,14 +67,6 @@ inline double parse_f64(const std::string& context, const std::string& key,
     bad_value(context, key, value, expected);
   }
   return out;
-}
-
-/// "true" | "false".
-inline bool parse_bool(const std::string& context, const std::string& key,
-                       const std::string& value) {
-  if (value == "true") return true;
-  if (value == "false") return false;
-  bad_value(context, key, value, "true|false");
 }
 
 /// "on" | "off".

@@ -22,8 +22,8 @@
 //     check the paper's actual reduction-normalized chain (Lemmas 5-8):
 //         Pi(SC) - v - h <= 3 * B'   with   B' = n' * lambda,
 //     plus the end-to-end consequence Pi(SC) <= 3 * OPT.
-//   * the sharded streaming engine (deterministic mode, random shard
-//     count / queue capacity / batch size / lossless policy) vs the serial
+//   * the sharded streaming engine (policy=block, random shard count /
+//     queue capacity / span size / telemetry) vs the serial
 //     OnlineDataService on random multi-item streams: per-item costs,
 //     transfers, hits, and aggregate ServiceReport totals must be
 //     BIT-identical (item independence makes the equivalence exact; the
@@ -321,9 +321,6 @@ TEST(FuzzDifferential, EngineBitIdenticalToSerial) {
     // every seed's spans and config identical to earlier runs of this
     // lane, so a recorded failing seed still reproduces the same case.
     (void)rng.uniform_int(std::uint64_t{16});
-    ecfg.policy = (it % 2 == 0) ? BackpressurePolicy::kBlock
-                                : BackpressurePolicy::kSpill;
-    ecfg.deterministic = true;
     // Telemetry must be invisible to the determinism contract: randomly
     // flip it (and the sampler) and demand the same bit-identity.
     ecfg.telemetry = (it % 3 == 0);
@@ -433,10 +430,6 @@ TEST(FuzzDifferential, EngineMultiProducerBitIdenticalToSerial) {
     // each seed's draw sequence identical to earlier runs of this lane, so
     // a recorded failing seed still maps to the same case.
     (void)rng.uniform_int(std::uint64_t{16});
-    ecfg.policy = (it % 2 == 0) ? BackpressurePolicy::kBlock
-                                : BackpressurePolicy::kSpill;
-    ecfg.deterministic = true;
-    ecfg.producer_credits = (it % 3 == 0) ? std::size_t{4} : std::size_t{0};
     // Telemetry randomization: stamps and histograms must never leak
     // into the cross-producer merge order.
     ecfg.telemetry = (it % 2 == 1);

@@ -1,7 +1,7 @@
 // Tests for the sharded concurrent streaming engine (ctest label: engine).
 //
 // The load-bearing property is the determinism contract: on any stream, a
-// deterministic-mode engine at any shard count produces per-item outcomes
+// policy=block engine at any shard count produces per-item outcomes
 // and aggregate totals BIT-IDENTICAL to the serial OnlineDataService (the
 // fuzz harness sweeps this over random seeds; here we pin it plus the
 // ring/lane/backpressure machinery the contract rests on).
@@ -66,11 +66,12 @@ void submit_all(StreamingEngine& engine,
 /// feeding its own session in short spans: real concurrent interleavings,
 /// one per run. Each thread's slice inherits the stream's increasing
 /// times, so the deterministic merge must reproduce the original global
-/// order exactly.
+/// order exactly. `stats`, when given, receives the engine's statistics.
 ServiceReport run_engine_producers(const std::vector<MultiItemRequest>& stream,
                                    int servers, const CostModel& cm,
                                    const EngineConfig& cfg,
-                                   std::size_t producers) {
+                                   std::size_t producers,
+                                   EngineStats* stats = nullptr) {
   StreamingEngine engine(servers, cm, cfg);
   std::vector<IngressSession> sessions;
   sessions.reserve(producers);
@@ -101,7 +102,9 @@ ServiceReport run_engine_producers(const std::vector<MultiItemRequest>& stream,
   while (ready.load() < producers) std::this_thread::yield();
   go.store(true);
   for (auto& t : threads) t.join();
-  return engine.finish();
+  ServiceReport rep = engine.finish();
+  if (stats != nullptr) *stats = engine.stats();
+  return rep;
 }
 
 // Bit-identical comparison: EXPECT_EQ on doubles is exact equality.
@@ -188,38 +191,6 @@ TEST(SpscRing, SingleProducerSingleConsumerThreaded) {
   }
 }
 
-TEST(SpscLane, SpillDrainTakesRingRecordsPushedMidDrainFirst) {
-  // consume_all reads the ring tail once. A kSpill producer that pushes
-  // into the ring after that read, then parks the rest in the side-car,
-  // must still see its ring records delivered before the parked ones. A
-  // sink that makes that push itself replays the interleaving on one
-  // thread, with no timing involved.
-  const ServingCostModel cm = CostModel(1.0, 1.0);
-  EngineConfig cfg;
-  cfg.policy = BackpressurePolicy::kSpill;
-  EngineShard shard(0, 2, cm, cfg, {});  // never started: no worker
-  SpscLane lane(4);
-  std::vector<IngressRecord> recs(6);
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    recs[i].time = static_cast<Time>(i + 1);
-    recs[i].seq = i + 1;
-  }
-  ASSERT_EQ(shard.lane_push_span(lane, recs.data(), 1), 1u);  // 1 of 4 slots
-  std::vector<std::uint64_t> seen;
-  const std::size_t got = lane.drain([&](const IngressRecord& r) {
-    if (seen.empty()) {
-      // Three records fill the ring's spare room; two park in the side-car.
-      EXPECT_EQ(shard.lane_push_span(lane, recs.data() + 1, 5), 5u);
-    }
-    seen.push_back(r.seq);
-  });
-  EXPECT_EQ(lane.spilled, 2u);
-  EXPECT_EQ(got, 6u);
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6}));
-  EXPECT_TRUE(lane.ring.empty());
-  EXPECT_EQ(lane.overflow_count.load(), 0u);
-}
-
 TEST(ShardOf, StableAndInRange) {
   for (int shards : {1, 2, 3, 7, 16}) {
     for (int item = -3; item < 100; ++item) {
@@ -253,24 +224,6 @@ TEST(StreamingEngine, BitIdenticalToSerialAcrossShardCounts) {
   }
 }
 
-TEST(StreamingEngine, SpillPolicyIsAlsoLossless) {
-  const CostModel cm(0.7, 1.9);
-  const auto stream = make_stream(5, 4, 9, 600);
-  const auto serial = run_serial(stream, 4, cm);
-  EngineConfig cfg;
-  cfg.num_shards = 3;
-  cfg.queue_capacity = 4;
-  cfg.policy = BackpressurePolicy::kSpill;
-  cfg.deterministic = true;
-  StreamingEngine engine(4, cm, cfg);
-  submit_all(engine, stream);
-  const auto rep = engine.finish();
-  expect_reports_identical(serial, rep);
-  std::uint64_t spilled = 0;
-  for (const auto& s : engine.stats().shards) spilled += s.queue.spilled;
-  EXPECT_EQ(engine.stats().spilled, spilled);
-}
-
 TEST(StreamingEngine, DropPolicyBoundsQueueAndCountsLosses) {
   const CostModel cm(1.0, 1.0);
   const auto stream = make_stream(11, 4, 6, 4000);
@@ -278,7 +231,6 @@ TEST(StreamingEngine, DropPolicyBoundsQueueAndCountsLosses) {
   cfg.num_shards = 2;
   cfg.queue_capacity = 2;  // tiny: guarantee drops under a fast producer
   cfg.policy = BackpressurePolicy::kDrop;
-  cfg.deterministic = false;  // deterministic mode would override kDrop
   StreamingEngine engine(4, cm, cfg);
   IngressSession session = engine.open_producer();
   std::uint64_t accepted = 0;
@@ -299,18 +251,55 @@ TEST(StreamingEngine, DropPolicyBoundsQueueAndCountsLosses) {
   }
 }
 
-TEST(StreamingEngine, DeterministicModeOverridesDropToBlock) {
+TEST(StreamingEngine, DropPolicyMultiProducerMergeStaysOrdered) {
+  // kDrop under the cross-producer merge: dropped records never reach the
+  // merge, and each span still advances its producer's watermark. With
+  // contracts on, the shard's merge-order invariant checks every emitted
+  // record and finish() checks submitted - dropped == requests + births.
   const CostModel cm(1.0, 1.0);
-  const auto stream = make_stream(13, 3, 8, 800);
-  const auto serial = run_serial(stream, 3, cm);
+  const auto stream = make_stream(17, 4, 12, 4000);
+  const auto serial = run_serial(stream, 4, cm);
   EngineConfig cfg;
   cfg.num_shards = 2;
-  cfg.queue_capacity = 2;
+  cfg.queue_capacity = 2;  // tiny: an 8-record span overflows a lane
   cfg.policy = BackpressurePolicy::kDrop;
-  cfg.deterministic = true;  // lossless despite kDrop + tiny queue
-  StreamingEngine engine(3, cm, cfg);
-  submit_all(engine, stream);
-  expect_reports_identical(serial, engine.finish());
+  EngineStats st;
+  const auto rep = run_engine_producers(stream, 4, cm, cfg, 4, &st);
+  EXPECT_EQ(st.submitted, stream.size());
+  EXPECT_GT(st.dropped, 0u) << "no lane overflowed — shrink the ring";
+  EXPECT_EQ(rep.requests + rep.items, st.submitted - st.dropped);
+  ASSERT_EQ(st.producers.size(), 4u);
+  std::uint64_t producer_drops = 0;
+  for (const auto& p : st.producers) {
+    EXPECT_EQ(p.submitted, stream.size() / 4);
+    EXPECT_EQ(p.retired, p.submitted - p.dropped);
+    producer_drops += p.dropped;
+  }
+  EXPECT_EQ(producer_drops, st.dropped);
+  std::uint64_t lane_drops = 0;
+  for (const auto& s : st.shards) {
+    lane_drops += s.queue.dropped;
+    EXPECT_EQ(s.producers, 4u);
+    EXPECT_EQ(s.queue.enqueued, s.requests);
+    // Four producer lanes on this shard, each bounded by its ring.
+    EXPECT_LE(s.queue.max_depth, 4 * cfg.queue_capacity);
+    if (s.requests > 0) {
+      EXPECT_GE(s.merge_depth_max, 1u);  // the merge ran
+    }
+  }
+  EXPECT_EQ(lane_drops, st.dropped);
+  // Dropping loses requests, never invents them: every item the engine
+  // served is a serial item, with at most as many requests.
+  ASSERT_LE(rep.per_item.size(), serial.per_item.size());
+  std::size_t j = 0;
+  for (const ItemOutcome& got : rep.per_item) {
+    while (j < serial.per_item.size() && serial.per_item[j].item < got.item) {
+      ++j;
+    }
+    ASSERT_LT(j, serial.per_item.size()) << "item " << got.item;
+    EXPECT_EQ(serial.per_item[j].item, got.item);
+    EXPECT_LE(got.requests, serial.per_item[j].requests) << "item " << got.item;
+  }
 }
 
 TEST(StreamingEngine, EmptyAndSingleItemStreams) {
@@ -520,7 +509,6 @@ TEST(IngressSession, CloseSemanticsAndProducerAccounting) {
   const CostModel cm(1.0, 1.0);
   EngineConfig cfg;
   cfg.num_shards = 2;
-  cfg.producer_credits = 4;  // tiny soft window: exercise the throttle path
   StreamingEngine engine(3, cm, cfg);
   IngressSession a = engine.open_producer();
   IngressSession b = engine.open_producer();
@@ -551,7 +539,6 @@ TEST(IngressSession, CloseSemanticsAndProducerAccounting) {
   EXPECT_EQ(st.producers[0].retired, 200u);  // lossless: all processed
   EXPECT_EQ(st.producers[1].retired, 100u);
   EXPECT_GE(st.producers[0].max_in_flight, 1u);
-  EXPECT_LE(st.producers[0].credit_throttles, st.producers[0].submitted);
   EXPECT_EQ(st.submitted, 300u);
   EXPECT_EQ(rep.requests + rep.items, 300u);
   // Every shard saw both producer lanes (open_producer registers a lane
@@ -566,7 +553,6 @@ TEST(IngressSession, ManyProducersStressBitIdentical) {
   EngineConfig cfg;
   cfg.num_shards = 4;
   cfg.queue_capacity = 8;  // tiny: constant backpressure under 8 producers
-  cfg.producer_credits = 8;
   expect_reports_identical(serial,
                            run_engine_producers(stream, 4, cm, cfg, 8));
 }
@@ -695,14 +681,15 @@ TEST(SubmitSpan, SpanBoundariesAreInvisibleToTheReport) {
 TEST(QueueStats, RingLaneSemanticsMatchTheDocumentedContract) {
   // docs/ENGINE.md "Queue statistics under ring lanes": stats() is one
   // post-quiesce snapshot assembled from single-writer lane counters —
-  // enqueued counts every accepted record, spilled counts side-car parks,
-  // and depth is zero after a full drain.
+  // enqueued counts every accepted record, stalls counts producer waits
+  // (one per span per lane that had to wait), and depth is zero after a
+  // full drain.
   const CostModel cm(1.0, 1.0);
   const auto stream = make_stream(43, 4, 9, 2000);
   EngineConfig cfg;
   cfg.num_shards = 2;
-  cfg.queue_capacity = 4;  // tiny rings: force the spill side-car
-  cfg.policy = BackpressurePolicy::kSpill;
+  cfg.queue_capacity = 4;  // tiny rings: the one span must wait on each
+  cfg.policy = BackpressurePolicy::kBlock;
   StreamingEngine engine(4, cm, cfg);
   IngressSession session = engine.open_producer();
   session.submit_span(std::span<const MultiItemRequest>(stream));
@@ -710,13 +697,19 @@ TEST(QueueStats, RingLaneSemanticsMatchTheDocumentedContract) {
   const auto rep = engine.finish();
   EXPECT_EQ(rep.requests + rep.items, stream.size());
   const auto& st = engine.stats();
-  std::uint64_t enq = 0, spill = 0;
+  std::uint64_t enq = 0, stalls = 0;
   std::size_t depth = 0;
   for (const auto& s : st.shards) {
     enq += s.queue.enqueued;
-    spill += s.queue.spilled;
+    stalls += s.queue.stalls;
     depth += s.queue.depth;
+    // Lossless: every record routed here was enqueued and served. A
+    // shard that was sent more records than its ring holds waited exactly
+    // once: the span reaches each lane as one bucket.
+    EXPECT_EQ(s.queue.enqueued, s.requests);
+    EXPECT_EQ(s.queue.stalls, s.requests > cfg.queue_capacity ? 1u : 0u);
     EXPECT_GE(s.queue.max_depth, 1u);
+    EXPECT_LE(s.queue.max_depth, cfg.queue_capacity);  // one lane per shard
     // Batch shape: every drained record lands in exactly one batch.
     EXPECT_EQ(s.batches.requests, s.requests);
     EXPECT_GE(s.batches.batches, 1u);
@@ -725,13 +718,10 @@ TEST(QueueStats, RingLaneSemanticsMatchTheDocumentedContract) {
                      static_cast<double>(s.batches.requests) /
                          static_cast<double>(s.batches.batches));
   }
-  // enqueued counts every accepted record (kSpill never drops); spilled is
-  // the subset that went through the side-car.
   EXPECT_EQ(enq, stream.size());
-  EXPECT_GT(spill, 0u) << "spill path never exercised — shrink the ring";
-  EXPECT_LT(spill, enq);
   EXPECT_EQ(depth, 0u);
-  EXPECT_EQ(st.spilled, spill);
+  EXPECT_EQ(st.stalls, stalls);
+  EXPECT_GE(stalls, 1u) << "no shard outgrew its ring — grow the stream";
   EXPECT_EQ(st.submitted, stream.size());
   EXPECT_EQ(st.dropped, 0u);
 }
@@ -741,15 +731,12 @@ TEST(EngineConfig, ToStringParseRoundTrip) {
   // field, across randomized configurations.
   Rng rng(123);
   const BackpressurePolicy policies[] = {BackpressurePolicy::kBlock,
-                                         BackpressurePolicy::kDrop,
-                                         BackpressurePolicy::kSpill};
+                                         BackpressurePolicy::kDrop};
   for (int iter = 0; iter < 200; ++iter) {
     EngineConfig cfg;
     cfg.num_shards = static_cast<int>(rng.uniform_int(0, 64));
     cfg.queue_capacity = static_cast<std::size_t>(rng.uniform_int(1, 1 << 16));
-    cfg.policy = policies[rng.uniform_int(3)];
-    cfg.deterministic = rng.bernoulli(0.5);
-    cfg.producer_credits = static_cast<std::size_t>(rng.uniform_int(0, 1024));
+    cfg.policy = policies[rng.uniform_int(2)];
     cfg.telemetry = rng.bernoulli(0.5);
     cfg.sample_ms = static_cast<std::size_t>(rng.uniform_int(0, 1000));
     // Only canonical specs round-trip verbatim (parse canonicalizes the
@@ -762,8 +749,6 @@ TEST(EngineConfig, ToStringParseRoundTrip) {
     EXPECT_EQ(back.num_shards, cfg.num_shards) << text;
     EXPECT_EQ(back.queue_capacity, cfg.queue_capacity) << text;
     EXPECT_EQ(back.policy, cfg.policy) << text;
-    EXPECT_EQ(back.deterministic, cfg.deterministic) << text;
-    EXPECT_EQ(back.producer_credits, cfg.producer_credits) << text;
     EXPECT_EQ(back.telemetry, cfg.telemetry) << text;
     EXPECT_EQ(back.sample_ms, cfg.sample_ms) << text;
     EXPECT_EQ(back.cost, cfg.cost) << text;
@@ -791,20 +776,21 @@ void expect_parse_error(const std::string& text, const std::string& needle_a,
 }
 
 TEST(EngineConfig, ParseErrorsNameKeyTokenAndChoices) {
+  const std::string keys = "shards|cap|policy|telemetry|sample_ms|cost";
   // Unknown key: names the key and lists the valid ones.
-  expect_parse_error("shards=4,polices=block", "polices",
-                     "shards|cap|policy|deterministic|credits");
+  expect_parse_error("shards=4,polices=block", "polices", keys);
   // Keys of removed settings are unknown keys like any other.
-  expect_parse_error("queue=spsc", "queue", "shards|cap|policy");
-  expect_parse_error("batch=8", "batch", "shards|cap|policy");
+  expect_parse_error("queue=spsc", "queue", keys);
+  expect_parse_error("batch=8", "batch", keys);
+  expect_parse_error("deterministic=true", "deterministic", keys);
+  expect_parse_error("credits=8", "credits", keys);
   // Bad enum value: names both the value and its key, plus the choices.
-  expect_parse_error("policy=blok", "blok", "block|drop|spill");
-  expect_parse_error("policy=blok", "policy", "block|drop|spill");
+  expect_parse_error("policy=blok", "blok", "(expected block|drop)");
+  expect_parse_error("policy=blok", "policy", "(expected block|drop)");
+  expect_parse_error("policy=spill", "spill", "(expected block|drop)");
   // Bad number: whole-token parse, so trailing garbage is an error.
   expect_parse_error("cap=12x", "12x", "cap");
-  expect_parse_error("credits=", "credits", "expected");
-  // Bad bool.
-  expect_parse_error("deterministic=yes", "yes", "true|false");
+  expect_parse_error("shards=", "shards", "expected");
   // Telemetry uses on|off (a mode switch, not a bool).
   expect_parse_error("telemetry=true", "true", "on|off");
   expect_parse_error("sample_ms=fast", "fast", "sample_ms");
@@ -814,9 +800,7 @@ TEST(EngineConfig, ParseErrorsNameKeyTokenAndChoices) {
   expect_parse_error("cost=het:mu=1", "cost", "missing key");
   expect_parse_error("cost=het:mu=1|1;lam=0|1|1", "cost", "m*m=4");
   // Malformed token (no '='): echoed back with the key list.
-  expect_parse_error("shards", "shards",
-                     "shards|cap|policy|deterministic|credits");
-  expect_parse_error("shards", "shards", "cost");
+  expect_parse_error("shards", "shards", keys);
 
   // Omitted keys keep their defaults; order does not matter.
   const EngineConfig defaults;
@@ -825,10 +809,10 @@ TEST(EngineConfig, ParseErrorsNameKeyTokenAndChoices) {
   EXPECT_EQ(partial.num_shards, defaults.num_shards);
   EXPECT_EQ(partial.policy, defaults.policy);
   const EngineConfig reordered =
-      EngineConfig::parse("credits=2,shards=3,policy=spill");
-  EXPECT_EQ(reordered.producer_credits, 2u);
+      EngineConfig::parse("sample_ms=2,shards=3,policy=drop");
+  EXPECT_EQ(reordered.sample_ms, 2u);
   EXPECT_EQ(reordered.num_shards, 3);
-  EXPECT_EQ(reordered.policy, BackpressurePolicy::kSpill);
+  EXPECT_EQ(reordered.policy, BackpressurePolicy::kDrop);
 }
 
 TEST(StreamingEngine, HeterogeneousConfigConflictsAndSizing) {
@@ -1001,10 +985,9 @@ TEST(EngineTelemetry, UsesObserverRegistryWhenAttached) {
   EXPECT_EQ(engine.telemetry_registry(), &reg);
   submit_all(engine, stream);
   engine.finish();
-  // Stage histograms and the producer credit-wait counter live in the
-  // caller's registry, under the labeled-family names.
+  // Stage histograms live in the caller's registry, under the
+  // labeled-family names.
   EXPECT_GT(reg.latency("engine_shard0_queue_wait_ns").snapshot().count, 0u);
-  (void)reg.counter("engine_producer0_credit_wait_ns");  // registered
 }
 
 TEST(EngineTelemetry, SamplerRecordsSeriesAndChromeTraceExports) {

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "core/offline_dp.h"
 #include "core/online_sc.h"
@@ -165,6 +168,87 @@ TEST(OnlineService, Errors) {
   service.finish();
   EXPECT_THROW(service.request(0, 0, 3.0), std::logic_error);
   EXPECT_THROW(service.finish(), std::logic_error);
+}
+
+void expect_same_report(const ServiceReport& a, const ServiceReport& b) {
+  EXPECT_EQ(a.total_cost, b.total_cost);  // exact, not NEAR
+  EXPECT_EQ(a.caching_cost, b.caching_cost);
+  EXPECT_EQ(a.transfer_cost, b.transfer_cost);
+  EXPECT_EQ(a.items, b.items);
+  EXPECT_EQ(a.requests, b.requests);
+  ASSERT_EQ(a.per_item.size(), b.per_item.size());
+  for (std::size_t i = 0; i < a.per_item.size(); ++i) {
+    const ItemOutcome& x = a.per_item[i];
+    const ItemOutcome& y = b.per_item[i];
+    EXPECT_EQ(x.item, y.item);
+    EXPECT_EQ(x.origin, y.origin);
+    EXPECT_EQ(x.birth, y.birth);
+    EXPECT_EQ(x.requests, y.requests) << "item " << x.item;
+    EXPECT_EQ(x.cost, y.cost) << "item " << x.item;
+    EXPECT_EQ(x.caching_cost, y.caching_cost) << "item " << x.item;
+    EXPECT_EQ(x.transfer_cost, y.transfer_cost) << "item " << x.item;
+    EXPECT_EQ(x.transfers, y.transfers) << "item " << x.item;
+    EXPECT_EQ(x.hits, y.hits) << "item " << x.item;
+    EXPECT_EQ(x.schedule.to_string(), y.schedule.to_string())
+        << "item " << x.item;
+  }
+}
+
+TEST(OnlineService, RejectedRequestsLeaveTheServiceUnchanged) {
+  // Every request the service rejects must change nothing — not its
+  // clock, not the item's last time, not its request count — so a stream
+  // with rejected requests interleaved serves exactly like the clean one.
+  const CostModel cm(1.0, 1.0);
+  const Time nan = std::numeric_limits<Time>::quiet_NaN();
+  const std::vector<MultiItemRequest> valid = {
+      {0, 0, 1.0}, {0, 1, 2.0}, {1, 0, 3.0}, {0, 2, 4.0},
+      {1, 2, 5.0}, {2, 1, 6.0}, {0, 0, 7.0}, {1, 1, 8.0}};
+  struct Rejected {
+    const char* what;
+    std::size_t before;  ///< index into `valid` it is interleaved ahead of
+    MultiItemRequest r;
+  };
+  const std::vector<Rejected> rejected = {
+      {"NaN birth", 0, {5, 1, nan}},
+      {"NaN on a live item", 2, {0, 1, nan}},
+      {"earlier time", 2, {1, 0, 0.5}},  // right after the NaN: clock intact
+      {"same-item equal time", 2, {0, 2, 2.0}},
+      {"server out of range", 3, {1, 3, 3.5}},
+  };
+  OnlineDataService clean(3, cm);
+  for (const auto& r : valid) clean.request(r.item, r.server, r.time);
+  const ServiceReport want = clean.finish();
+
+  // Feed through request() or through one-record request_span() calls;
+  // `only` picks one rejected request, or all of them when null.
+  auto run = [&](bool span, const Rejected* only) {
+    OnlineDataService service(3, cm);
+    auto feed = [&](const MultiItemRequest& r) {
+      if (span) {
+        service.request_span(std::span<const MultiItemRequest>(&r, 1));
+      } else {
+        service.request(r.item, r.server, r.time);
+      }
+    };
+    for (std::size_t k = 0; k <= valid.size(); ++k) {
+      for (const Rejected& bad : rejected) {
+        if (bad.before != k || (only != nullptr && only != &bad)) continue;
+        SCOPED_TRACE(bad.what);
+        EXPECT_THROW(feed(bad.r), std::invalid_argument);
+      }
+      if (k < valid.size()) feed(valid[k]);
+    }
+    EXPECT_EQ(service.live_items(), 3u);
+    expect_same_report(want, service.finish());
+  };
+  for (const bool span : {false, true}) {
+    SCOPED_TRACE(span ? "request_span" : "request");
+    run(span, nullptr);
+    for (const Rejected& bad : rejected) {
+      SCOPED_TRACE(std::string("only ") + bad.what);
+      run(span, &bad);
+    }
+  }
 }
 
 TEST(OnlineService, RequestSpanBitIdenticalToPerRecordLoop) {

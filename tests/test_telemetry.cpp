@@ -407,7 +407,7 @@ TEST(Prometheus, GoldenExposition) {
 TEST(TelemetryAllocation, SteadyStateRecordingIsAllocationFree) {
   // Pre-allocate everything a recording hot path touches...
   obs::MetricsRegistry reg;
-  obs::Counter& counter = reg.counter("engine_producer0_credit_wait_ns");
+  obs::Counter& counter = reg.counter("engine_shard0_requests");
   obs::Gauge& gauge = reg.gauge("engine_shard0_queue_depth");
   obs::LatencyHistogram& hist = reg.latency("engine_shard0_e2e_ns");
   obs::SampleRing samples(1024);

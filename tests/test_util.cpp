@@ -282,13 +282,9 @@ TEST(Kvform, F64ShortestFormRoundTripsBitForBit) {
   }
 }
 
-TEST(Kvform, BoolAndOnOffAreStrict) {
-  EXPECT_TRUE(kvform::parse_bool("Ctx", "k", "true"));
-  EXPECT_FALSE(kvform::parse_bool("Ctx", "k", "false"));
+TEST(Kvform, OnOffIsStrict) {
   EXPECT_TRUE(kvform::parse_on_off("Ctx", "k", "on"));
   EXPECT_FALSE(kvform::parse_on_off("Ctx", "k", "off"));
-  expect_kv_error([] { kvform::parse_bool("Ctx", "k", "1"); }, "1",
-                  "true|false");
   expect_kv_error([] { kvform::parse_on_off("Ctx", "k", "True"); }, "True",
                   "on|off");
 }
@@ -319,12 +315,12 @@ TEST(Kvform, ErrorShapesNameContextTokenAndChoices) {
   // The three uniform shapes every config surface shares. Exact strings:
   // EngineConfig/ScenarioConfig tests grep for needles, this pins the form.
   try {
-    kvform::bad_value("Ctx", "k", "blok", "block|drop|spill");
+    kvform::bad_value("Ctx", "k", "blok", "block|drop");
     FAIL();
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(),
                  "Ctx: unknown value \"blok\" for key \"k\" "
-                 "(expected block|drop|spill)");
+                 "(expected block|drop)");
   }
   try {
     kvform::for_each_kv("Ctx", "bare", ',', "a|b",
