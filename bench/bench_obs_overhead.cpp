@@ -5,8 +5,9 @@
 // Every instrumentation site guards on `options.observer != nullptr`, so
 // the bare run pays one predicted branch per site; "hooks" attaches an
 // empty Observer (no registry, no sink) to also exercise the inner null
-// tests; "metrics" adds the counter/gauge/histogram updates; "ring" adds
-// a buffering TraceSink receiving the full event stream.
+// tests; "metrics" adds the counter/gauge updates and the lock-free
+// request-latency histogram; "ring" adds a buffering TraceSink receiving
+// the full event stream.
 //
 // Methodology: each rep replays the same multi-item stream once per
 // configuration, back-to-back, and records the per-rep runtime ratio
@@ -14,8 +15,8 @@
 // median of those paired ratios. Pairing cancels slow drift (thermal,
 // frequency, noisy neighbours) and the median rejects preemption spikes —
 // a plain min- or mean-of-passes flaps by ±10% in shared containers. The
-// 2% line is reported as the headline CHECK; the exit code only fails
-// hard (>10% median) so residual jitter cannot flake CI.
+// 2% line is reported as the headline CHECK; the exit code fails only on
+// a changed cost or a best-pass overhead of 15% or more (see below).
 //
 // A second section applies the same discipline to the streaming engine's
 // pipeline telemetry (EngineConfig::telemetry): with telemetry off the
@@ -60,7 +61,7 @@ double replay_once(const std::vector<MultiItemRequest>& stream, int servers,
 
 int main(int argc, char** argv) {
   ArgParser args;
-  args.add_bool_flag("quick", "smaller stream + fewer reps (ctest smoke mode)");
+  args.add_bool_flag("quick", "fewer reps (ctest smoke mode)");
   args.add_flag("requests", "stream length", "200000");
   args.add_flag("items", "distinct items", "200");
   args.add_flag("servers", "servers", "16");
@@ -72,8 +73,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   const bool quick = args.get_bool("quick");
-  const int requests = quick ? 40000 : static_cast<int>(args.get_int("requests"));
-  const int reps = quick ? 7 : static_cast<int>(args.get_int("reps"));
+  // Quick mode keeps the full-size stream and trims only reps: the
+  // best-pass gates below compare single passes, and passes much shorter
+  // than these (~8 ms at 40k requests) measure scheduler noise under a
+  // parallel ctest.
+  const int requests = quick ? 200000 : static_cast<int>(args.get_int("requests"));
+  const int reps = quick ? 11 : static_cast<int>(args.get_int("reps"));
 
   const CostModel cm(1.0, 1.0);
   Rng rng(4242);

@@ -52,7 +52,7 @@ struct OfflineDpOptions {
   bool reconstruct_schedule = true;
 
   /// Optional telemetry: emits one DpStageDone event (and feeds the
-  /// `dp_stage_us` histogram) per solver stage — "bounds", "forward",
+  /// `dp_stage_ns` histogram) per solver stage — "bounds", "forward",
   /// "reconstruct". Not owned. Null (default) = off.
   obs::Observer* observer = nullptr;
 };

@@ -1,6 +1,7 @@
 #include "engine/engine_config.h"
 
 #include <cstddef>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -42,11 +43,12 @@ EngineConfig EngineConfig::parse(const std::string& text) {
       kCtx, text, ',', kKeys,
       [&cfg](const std::string& key, const std::string& value) {
         if (key == "shards") {
-          cfg.num_shards = static_cast<int>(kvform::parse_u64(
-              kCtx, key, value, "a shard count >= 0; 0 = hardware threads"));
+          cfg.num_shards = kvform::parse_int(
+              kCtx, key, value, "a shard count >= 0; 0 = hardware threads");
         } else if (key == "cap") {
-          cfg.queue_capacity = static_cast<std::size_t>(
-              kvform::parse_u64(kCtx, key, value, "a queue capacity > 0"));
+          cfg.queue_capacity = static_cast<std::size_t>(kvform::parse_u64(
+              kCtx, key, value, "a queue capacity > 0",
+              std::numeric_limits<std::size_t>::max()));
         } else if (key == "policy") {
           if (value == "block") {
             cfg.policy = BackpressurePolicy::kBlock;
@@ -59,7 +61,8 @@ EngineConfig EngineConfig::parse(const std::string& text) {
           cfg.telemetry = kvform::parse_on_off(kCtx, key, value);
         } else if (key == "sample_ms") {
           cfg.sample_ms = static_cast<std::size_t>(kvform::parse_u64(
-              kCtx, key, value, "a sampler period in ms >= 0; 0 = off"));
+              kCtx, key, value, "a sampler period in ms >= 0; 0 = off",
+              std::numeric_limits<std::size_t>::max()));
         } else if (key == "cost") {
           if (value == "hom") {
             cfg.cost = "hom";

@@ -22,7 +22,7 @@ constexpr std::chrono::microseconds kStallRecheck{200};
 constexpr std::size_t kSpinYields = 64;
 
 // Stage spans retained per shard for the Chrome-trace export (newest
-// win; SpanRing counts what overflow displaced).
+// win; the ring counts what overflow displaced).
 constexpr std::size_t kSpanRingCapacity = 8192;
 
 // resident_bytes() walks the item population (O(items)), so the
@@ -49,8 +49,6 @@ EngineShard::EngineShard(int index, int num_servers, const ServingCostModel& cm,
   if (reg != nullptr) {
     const obs::LabeledMetricFamily fam(*reg, "engine_shard",
                                        static_cast<std::size_t>(index));
-    batch_size_ =
-        &fam.histogram("batch_size", {1, 2, 4, 8, 16, 32, 64, 128, 256});
     enqueue_stalls_ = &fam.counter("enqueue_stalls");
     requests_ = &fam.counter("requests");
     cost_total_ = &fam.gauge("cost_total");
@@ -62,7 +60,8 @@ EngineShard::EngineShard(int index, int num_servers, const ServingCostModel& cm,
       merge_stall_ns_ = &fam.latency("merge_stall_ns");
       apply_ns_ = &fam.latency("apply_ns");
       e2e_ns_ = &fam.latency("e2e_ns");
-      spans_ = std::make_unique<obs::SpanRing>(kSpanRingCapacity);
+      spans_ = std::make_unique<obs::Ring<obs::TelemetrySpan>>(
+          kSpanRingCapacity);
     }
   }
 }
@@ -214,9 +213,6 @@ void EngineShard::run() {
         ++batch_stats_.batches;
         batch_stats_.requests += total;
         if (total > batch_stats_.max_batch) batch_stats_.max_batch = total;
-        if (batch_size_ != nullptr) {
-          batch_size_->observe(static_cast<double>(total));
-        }
       }
       if (!single || merge_buffered_ > 0) {
         stalled = process_eligible(all_closed);
@@ -484,7 +480,7 @@ std::size_t EngineShard::queue_depth() const {
 std::vector<obs::TelemetrySpan> EngineShard::telemetry_spans() const {
   MCDC_ASSERT(joined_, "shard spans read before drain_and_finish");
   if (spans_ == nullptr) return {};
-  return spans_->spans();
+  return spans_->items();
 }
 
 ShardStats EngineShard::stats() const {

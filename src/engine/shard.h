@@ -190,7 +190,6 @@ class EngineShard {
 
   // Per-shard registry metrics (null without an observer registry and
   // with telemetry off).
-  obs::Histogram* batch_size_ = nullptr;
   obs::Counter* enqueue_stalls_ = nullptr;
   obs::Counter* requests_ = nullptr;
   obs::Gauge* cost_total_ = nullptr;
@@ -206,7 +205,8 @@ class EngineShard {
   obs::LatencyHistogram* merge_stall_ns_ = nullptr; ///< stall episode length
   obs::LatencyHistogram* apply_ns_ = nullptr;       ///< dequeue -> applied
   obs::LatencyHistogram* e2e_ns_ = nullptr;         ///< submit -> retire
-  std::unique_ptr<obs::SpanRing> spans_;            ///< worker-only writer
+  /// Stage spans; the worker is the only writer.
+  std::unique_ptr<obs::Ring<obs::TelemetrySpan>> spans_;
 
   // Worker-local telemetry bookkeeping (meaningless when telemetry off).
   std::uint64_t stall_started_ns_ = 0;     ///< open merge-stall episode

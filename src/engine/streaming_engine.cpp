@@ -35,29 +35,10 @@ StreamingEngine::StreamingEngine(int num_servers, const ServingCostModel& cm,
   if (cfg.queue_capacity == 0) {
     throw std::invalid_argument("StreamingEngine: queue_capacity must be > 0");
   }
-  // Resolve the effective cost model: constructor-supplied vs the
-  // EngineConfig::cost string. Exactly one may be heterogeneous.
-  ServingCostModel effective = cm;
-  if (cfg.cost != "hom") {
-    if (cfg.cost.rfind("het:", 0) != 0) {
-      throw std::invalid_argument(
-          "StreamingEngine: EngineConfig::cost must be \"hom\" or "
-          "\"het:<spec>\", got \"" + cfg.cost + "\"");
-    }
-    if (cm.heterogeneous()) {
-      throw std::invalid_argument(
-          "StreamingEngine: both the constructor cost model and "
-          "EngineConfig::cost are heterogeneous — pick one");
-    }
-    effective = ServingCostModel(HeterogeneousCostModel::parse(
-        cfg.cost.substr(4)));
-  }
-  if (effective.het() != nullptr && effective.het()->m() != num_servers) {
-    throw std::invalid_argument(
-        "StreamingEngine: heterogeneous model is sized for " +
-        std::to_string(effective.het()->m()) + " servers, engine for " +
-        std::to_string(num_servers));
-  }
+  // Constructor-supplied model vs the EngineConfig::cost string: exactly
+  // one may be heterogeneous.
+  const ServingCostModel effective =
+      resolve_cost(cfg.cost, cm, num_servers, "StreamingEngine");
   const int shards = cfg.num_shards > 0
                          ? cfg.num_shards
                          : static_cast<int>(hardware_thread_count());

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 
 #include "util/contracts.h"
 #include "util/kvform.h"
@@ -263,6 +264,7 @@ HeterogeneousCostModel HeterogeneousCostModel::parse(const std::string& spec) {
         };
         ok = parse_count(value.substr(0, x), &tier_edge) &&
              parse_count(value.substr(x + 1), &tier_cloud) &&
+             tier_edge <= std::numeric_limits<int>::max() - tier_cloud &&
              tier_edge + tier_cloud > 0;
       }
       if (!ok) bad_value(key, value, "<edge>x<cloud> server counts");
@@ -302,6 +304,33 @@ HeterogeneousCostModel HeterogeneousCostModel::parse(const std::string& spec) {
     }
   }
   return HeterogeneousCostModel(std::move(mu), std::move(rows), options);
+}
+
+ServingCostModel resolve_cost(const std::string& cost,
+                              const ServingCostModel& explicit_model,
+                              int num_servers, const std::string& caller) {
+  ServingCostModel effective = explicit_model;
+  if (cost != "hom") {
+    if (cost.rfind("het:", 0) != 0) {
+      throw std::invalid_argument(caller +
+                                  ": the cost string must be \"hom\" or "
+                                  "\"het:<spec>\", got \"" +
+                                  cost + "\"");
+    }
+    if (explicit_model.heterogeneous()) {
+      throw std::invalid_argument(
+          caller + ": both the explicit cost model and the cost string are "
+                   "heterogeneous — pick one");
+    }
+    effective = ServingCostModel(HeterogeneousCostModel::parse(cost.substr(4)));
+  }
+  if (effective.het() != nullptr && effective.het()->m() != num_servers) {
+    throw std::invalid_argument(
+        caller + ": heterogeneous model is sized for " +
+        std::to_string(effective.het()->m()) + " servers, not " +
+        std::to_string(num_servers));
+  }
+  return effective;
 }
 
 }  // namespace mcdc

@@ -203,4 +203,14 @@ class ServingCostModel {
   std::shared_ptr<const HeterogeneousCostModel> het_;
 };
 
+/// Resolve a `cost=hom|het:<spec>` config string (EngineConfig::cost,
+/// ScenarioConfig::cost) against the model the caller was handed: "hom"
+/// keeps `explicit_model`; "het:<spec>" parses the spec, and conflicts
+/// with an `explicit_model` that is heterogeneous too. A heterogeneous
+/// result, whichever way it arrived, must be sized for `num_servers`.
+/// Errors are std::invalid_argument prefixed with `caller`.
+ServingCostModel resolve_cost(const std::string& cost,
+                              const ServingCostModel& explicit_model,
+                              int num_servers, const std::string& caller);
+
 }  // namespace mcdc

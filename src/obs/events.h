@@ -67,11 +67,4 @@ class TraceSink {
   virtual void on_event(const Event& e) = 0;
 };
 
-/// Sink that drops everything. Useful to measure the cost of the tracing
-/// plumbing itself (the dispatch, not the serialization).
-class NullSink final : public TraceSink {
- public:
-  void on_event(const Event&) override {}
-};
-
 }  // namespace mcdc::obs

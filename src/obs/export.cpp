@@ -1,39 +1,13 @@
 #include "obs/export.h"
 
-#include <cstdio>
+#include "obs/format.h"
 
 namespace mcdc::obs {
 
 namespace {
 
-/// Shortest round-trippable decimal (same policy as the metrics JSON).
-std::string num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  char shorter[32];
-  std::snprintf(shorter, sizeof(shorter), "%g", v);
-  double back = 0.0;
-  if (std::sscanf(shorter, "%lf", &back) == 1 && back == v) return shorter;
-  return buf;
-}
-
-std::string json_str(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
+using detail::json_string;
+using detail::num;
 
 /// Nanoseconds on the telemetry clock -> trace microseconds.
 std::string us_from_ns(std::uint64_t ns) {
@@ -51,19 +25,19 @@ void ChromeTraceBuilder::append_raw(const std::string& obj) {
 void ChromeTraceBuilder::add_process(int pid, const std::string& name) {
   append_raw("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
              std::to_string(pid) + ",\"tid\":0,\"args\":{\"name\":" +
-             json_str(name) + "}}");
+             json_string(name) + "}}");
 }
 
 void ChromeTraceBuilder::add_thread(int pid, int tid,
                                     const std::string& name) {
   append_raw("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" +
              std::to_string(pid) + ",\"tid\":" + std::to_string(tid) +
-             ",\"args\":{\"name\":" + json_str(name) + "}}");
+             ",\"args\":{\"name\":" + json_string(name) + "}}");
 }
 
 void ChromeTraceBuilder::add_span(int pid, int tid,
                                   const TelemetrySpan& span) {
-  std::string obj = "{\"name\":" + json_str(span.name) +
+  std::string obj = "{\"name\":" + json_string(span.name) +
                     ",\"ph\":\"X\",\"pid\":" + std::to_string(pid) +
                     ",\"tid\":" + std::to_string(tid) +
                     ",\"ts\":" + us_from_ns(span.start_ns) +
@@ -77,20 +51,20 @@ void ChromeTraceBuilder::add_span(int pid, int tid,
 
 void ChromeTraceBuilder::add_counter(int pid, const std::string& name,
                                      std::uint64_t t_ns, double value) {
-  append_raw("{\"name\":" + json_str(name) + ",\"ph\":\"C\",\"pid\":" +
+  append_raw("{\"name\":" + json_string(name) + ",\"ph\":\"C\",\"pid\":" +
              std::to_string(pid) + ",\"tid\":0,\"ts\":" + us_from_ns(t_ns) +
              ",\"args\":{\"value\":" + num(value) + "}}");
 }
 
 void ChromeTraceBuilder::add_instant(int pid, int tid, const char* name,
                                      double ts_us) {
-  append_raw("{\"name\":" + json_str(name) + ",\"ph\":\"i\",\"pid\":" +
+  append_raw("{\"name\":" + json_string(name) + ",\"ph\":\"i\",\"pid\":" +
              std::to_string(pid) + ",\"tid\":" + std::to_string(tid) +
              ",\"ts\":" + num(ts_us) + ",\"s\":\"t\"}");
 }
 
 void ChromeTraceBuilder::add_event(int pid, int tid, const Event& e) {
-  std::string obj = "{\"name\":" + json_str(event_kind_name(e.kind)) +
+  std::string obj = "{\"name\":" + json_string(event_kind_name(e.kind)) +
                     ",\"ph\":\"i\",\"pid\":" + std::to_string(pid) +
                     ",\"tid\":" + std::to_string(tid) +
                     ",\"ts\":" + num(e.at * 1e6) + ",\"s\":\"t\"" +
@@ -117,18 +91,6 @@ std::string to_prometheus(const MetricsSnapshot& snap) {
   for (const auto& [name, v] : snap.gauges) {
     out += "# TYPE " + name + " gauge\n";
     out += name + " " + num(v) + "\n";
-  }
-  for (const auto& [name, h] : snap.histograms) {
-    out += "# TYPE " + name + " histogram\n";
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < h.upper_bounds.size(); ++i) {
-      cum += h.counts[i];
-      out += name + "_bucket{le=\"" + num(h.upper_bounds[i]) + "\"} " +
-             std::to_string(cum) + "\n";
-    }
-    out += name + "_bucket{le=\"+Inf\"} " + std::to_string(h.count) + "\n";
-    out += name + "_sum " + num(h.sum) + "\n";
-    out += name + "_count " + std::to_string(h.count) + "\n";
   }
   for (const auto& [name, h] : snap.latency) {
     // Log2 ns buckets; collapse the empty tail by stopping at the last

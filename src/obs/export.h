@@ -2,8 +2,9 @@
 //
 // ChromeTraceBuilder assembles one chrome://tracing / Perfetto-loadable
 // JSON document from heterogeneous telemetry: wall-clock stage spans
-// (SpanRing contents, "X" events), sampler series ("C" counter events),
-// and instant markers derived from the obs::Event stream ("i" events).
+// (the shards' Ring<TelemetrySpan> contents, "X" events), sampler series
+// ("C" counter events), and instant markers derived from the obs::Event
+// stream ("i" events).
 // Engine wall-clock tracks and model-time event tracks live under
 // separate pids so the two timebases never share an axis — the engine
 // groups its shards under one "process", the service event stream under
@@ -11,10 +12,12 @@
 //
 // to_prometheus() renders a whole MetricsSnapshot in the Prometheus text
 // exposition format (the wire format a future /metrics endpoint serves):
-// counters and gauges verbatim, obs::Histogram as cumulative
-// `_bucket{le=...}` rows in its native unit, and LatencyHistogram the
-// same way with `le` in integer nanoseconds (names carry the `_ns`
-// suffix, so the unit is explicit).
+// counters and gauges verbatim, and each LatencyHistogram as cumulative
+// `_bucket{le=...}` rows with `le` in integer nanoseconds (names carry
+// the `_ns` suffix, so the unit is explicit).
+//
+// Numbers and JSON strings render through obs/format.h, the one
+// formatter every obs exporter shares.
 #pragma once
 
 #include <cstdint>

@@ -1,15 +1,16 @@
-// Lock-free fixed-bucket latency histogram (log2 nanosecond buckets).
+// Lock-free fixed-bucket latency histogram (log2 nanosecond buckets) —
+// the one histogram type in obs.
 //
-// The mutex-guarded obs::Histogram is fine for per-request observation on
-// a single thread, but the streaming engine wants to record four stage
-// latencies per record from N worker threads at 10M+ records/s. This
-// variant trades bucket-boundary flexibility for a wait-free record():
-// the bucket array is a fixed std::array of atomics (pre-allocated, so
-// recording can sit inside the zero-steady-state-allocation envelope),
-// bucket selection is one std::bit_width, and every update is a relaxed
-// fetch_add (max is a CAS loop). Buckets are powers of two in integer
-// nanoseconds — bucket i counts samples in [2^i, 2^(i+1)) — which covers
-// 1 ns .. ~39 hours in 48 buckets with <= 2x relative quantile error.
+// The streaming engine records four stage latencies per record from N
+// worker threads at 10M+ records/s, and the observer times every service
+// request, DP stage and executor replay. So the type trades
+// bucket-boundary flexibility for a wait-free record(): the bucket array
+// is a fixed std::array of atomics (pre-allocated, so recording can sit
+// inside the zero-steady-state-allocation envelope), bucket selection is
+// one std::bit_width, and every update is a relaxed fetch_add (max is a
+// CAS loop). Buckets are powers of two in integer nanoseconds — bucket i
+// counts samples in [2^i, 2^(i+1)) — which covers 1 ns .. ~39 hours in 48
+// buckets with <= 2x relative quantile error.
 //
 // Snapshots are plain PODs: mergeable across shards (bucket-wise add) and
 // queryable for p50/p95/p99 with the same fractional-rank interpolation

@@ -1,98 +1,14 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <ostream>
-#include <stdexcept>
 
+#include "obs/format.h"
 #include "util/csv.h"
 
 namespace mcdc::obs {
 
-namespace {
-
-/// Shortest round-trippable decimal for JSON/CSV numeric cells.
-std::string num_to_string(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Prefer the shorter %g form when it round-trips.
-  char shorter[32];
-  std::snprintf(shorter, sizeof(shorter), "%g", v);
-  double back = 0.0;
-  if (std::sscanf(shorter, "%lf", &back) == 1 && back == v) return shorter;
-  return buf;
-}
-
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
-
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)) {
-  if (bounds_.empty()) {
-    throw std::invalid_argument("Histogram: need at least one bucket bound");
-  }
-  if (!std::is_sorted(bounds_.begin(), bounds_.end()) ||
-      std::adjacent_find(bounds_.begin(), bounds_.end()) != bounds_.end()) {
-    throw std::invalid_argument("Histogram: bounds must be strictly ascending");
-  }
-  counts_.assign(bounds_.size() + 1, 0);
-}
-
-void Histogram::observe(double v) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const auto idx = static_cast<std::size_t>(it - bounds_.begin());
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_[idx];
-  ++count_;
-  sum_ += v;
-  if (count_ == 1) {
-    min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-}
-
-HistogramSnapshot Histogram::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  HistogramSnapshot s;
-  s.upper_bounds = bounds_;
-  s.counts = counts_;
-  s.count = count_;
-  s.sum = sum_;
-  s.min = min_;
-  s.max = max_;
-  return s;
-}
-
-std::vector<double> Histogram::exponential_bounds(double start, double factor,
-                                                  int count) {
-  if (start <= 0 || factor <= 1.0 || count <= 0) {
-    throw std::invalid_argument(
-        "Histogram::exponential_bounds: need start > 0, factor > 1, count > 0");
-  }
-  std::vector<double> b;
-  b.reserve(static_cast<std::size_t>(count));
-  double v = start;
-  for (int i = 0; i < count; ++i, v *= factor) b.push_back(v);
-  return b;
-}
+using detail::json_string;
+using detail::num;
 
 std::string MetricsSnapshot::to_json() const {
   std::string out = "{\"counters\":{";
@@ -100,7 +16,7 @@ std::string MetricsSnapshot::to_json() const {
   for (const auto& [name, v] : counters) {
     if (!first) out += ',';
     first = false;
-    append_json_string(out, name);
+    out += json_string(name);
     out += ':';
     out += std::to_string(v);
   }
@@ -109,38 +25,16 @@ std::string MetricsSnapshot::to_json() const {
   for (const auto& [name, v] : gauges) {
     if (!first) out += ',';
     first = false;
-    append_json_string(out, name);
+    out += json_string(name);
     out += ':';
-    out += num_to_string(v);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms) {
-    if (!first) out += ',';
-    first = false;
-    append_json_string(out, name);
-    out += ":{\"upper_bounds\":[";
-    for (std::size_t i = 0; i < h.upper_bounds.size(); ++i) {
-      if (i) out += ',';
-      out += num_to_string(h.upper_bounds[i]);
-    }
-    out += "],\"counts\":[";
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      if (i) out += ',';
-      out += std::to_string(h.counts[i]);
-    }
-    out += "],\"count\":" + std::to_string(h.count);
-    out += ",\"sum\":" + num_to_string(h.sum);
-    out += ",\"min\":" + num_to_string(h.min);
-    out += ",\"max\":" + num_to_string(h.max);
-    out += '}';
+    out += num(v);
   }
   out += "},\"latency\":{";
   first = true;
   for (const auto& [name, h] : latency) {
     if (!first) out += ',';
     first = false;
-    append_json_string(out, name);
+    out += json_string(name);
     out += ":{\"counts\":[";
     for (int b = 0; b < kLatencyBuckets; ++b) {
       if (b) out += ',';
@@ -149,9 +43,9 @@ std::string MetricsSnapshot::to_json() const {
     out += "],\"count\":" + std::to_string(h.count);
     out += ",\"sum_ns\":" + std::to_string(h.sum_ns);
     out += ",\"max_ns\":" + std::to_string(h.max_ns);
-    out += ",\"p50_ns\":" + num_to_string(h.p50_ns());
-    out += ",\"p95_ns\":" + num_to_string(h.p95_ns());
-    out += ",\"p99_ns\":" + num_to_string(h.p99_ns());
+    out += ",\"p50_ns\":" + num(h.p50_ns());
+    out += ",\"p95_ns\":" + num(h.p95_ns());
+    out += ",\"p99_ns\":" + num(h.p99_ns());
     out += '}';
   }
   out += "}}";
@@ -165,19 +59,7 @@ void MetricsSnapshot::write_csv(std::ostream& out) const {
     rows.push_back({"counter", name, "value", std::to_string(v)});
   }
   for (const auto& [name, v] : gauges) {
-    rows.push_back({"gauge", name, "value", num_to_string(v)});
-  }
-  for (const auto& [name, h] : histograms) {
-    for (std::size_t i = 0; i < h.upper_bounds.size(); ++i) {
-      rows.push_back({"histogram", name, "le_" + num_to_string(h.upper_bounds[i]),
-                      std::to_string(h.counts[i])});
-    }
-    rows.push_back({"histogram", name, "overflow",
-                    std::to_string(h.counts.back())});
-    rows.push_back({"histogram", name, "count", std::to_string(h.count)});
-    rows.push_back({"histogram", name, "sum", num_to_string(h.sum)});
-    rows.push_back({"histogram", name, "min", num_to_string(h.min)});
-    rows.push_back({"histogram", name, "max", num_to_string(h.max)});
+    rows.push_back({"gauge", name, "value", num(v)});
   }
   for (const auto& [name, h] : latency) {
     // 48 log2 buckets are mostly empty in practice; only emit occupied
@@ -212,14 +94,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> upper_bounds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>(std::move(upper_bounds));
-  return *slot;
-}
-
 LatencyHistogram& MetricsRegistry::latency(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = latency_[name];
@@ -234,10 +108,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (const auto& [name, c] : counters_) s.counters.emplace_back(name, c->value());
   s.gauges.reserve(gauges_.size());
   for (const auto& [name, g] : gauges_) s.gauges.emplace_back(name, g->value());
-  s.histograms.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    s.histograms.emplace_back(name, h->snapshot());
-  }
   s.latency.reserve(latency_.size());
   for (const auto& [name, h] : latency_) {
     s.latency.emplace_back(name, h->snapshot());
@@ -255,11 +125,6 @@ Counter& LabeledMetricFamily::counter(const char* field) const {
 
 Gauge& LabeledMetricFamily::gauge(const char* field) const {
   return reg_->gauge(prefix_ + field);
-}
-
-Histogram& LabeledMetricFamily::histogram(
-    const char* field, std::vector<double> upper_bounds) const {
-  return reg_->histogram(prefix_ + field, std::move(upper_bounds));
 }
 
 LatencyHistogram& LabeledMetricFamily::latency(const char* field) const {

@@ -1,17 +1,18 @@
-// Metrics registry: named counters, gauges, and fixed-bucket histograms.
+// Metrics registry: named counters, gauges, and latency histograms.
 //
 // Design goals, in order: (1) the hot path — incrementing a counter or
-// observing a histogram sample — must be cheap enough to sit on the
-// per-request path of the online service; (2) a registry snapshot must be
-// consistent enough for reports (exact under single-threaded use, per-metric
-// atomic otherwise); (3) export to JSON and to the repo's CSV writer so
-// bench harnesses and the trace tool can persist runs.
+// recording a duration — must be cheap enough to sit on the per-request
+// path of the online service; (2) a registry snapshot must be consistent
+// enough for reports (exact under single-threaded use, per-metric atomic
+// otherwise); (3) export to JSON and to the repo's CSV writer so bench
+// harnesses and the trace tool can persist runs.
 //
-// Concurrency: counters and gauges are lock-free atomics; histograms take a
-// per-instance mutex held for a handful of arithmetic ops. Registration
-// (name -> metric) takes the registry mutex; returned references stay valid
-// for the registry's lifetime, so callers register once and cache pointers
-// (see obs::Observer).
+// Concurrency: every instrument records lock-free — counters and gauges
+// are relaxed atomics, and the one histogram type, LatencyHistogram
+// (obs/latency_histogram.h), is a fixed array of atomic log2-ns buckets.
+// Registration (name -> metric) takes the registry mutex; returned
+// references stay valid for the registry's lifetime, so callers register
+// once and cache pointers (see obs::Observer).
 #pragma once
 
 #include <atomic>
@@ -64,72 +65,29 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Point-in-time copy of one histogram.
-struct HistogramSnapshot {
-  std::vector<double> upper_bounds;   ///< ascending; final overflow implicit
-  std::vector<std::uint64_t> counts;  ///< size upper_bounds.size() + 1
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;  ///< 0 when empty
-  double max = 0.0;  ///< 0 when empty
-  double mean() const { return count ? sum / static_cast<double>(count) : 0.0; }
-};
-
-/// Fixed-bucket histogram. Bucket i counts observations v with
-/// upper_bounds[i-1] < v <= upper_bounds[i] (Prometheus "le" convention);
-/// the trailing bucket counts overflows v > upper_bounds.back().
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> upper_bounds);
-  Histogram(const Histogram&) = delete;
-  Histogram& operator=(const Histogram&) = delete;
-
-  void observe(double v);
-  HistogramSnapshot snapshot() const;
-
-  /// {start, start*factor, start*factor^2, ...}, `count` bounds.
-  static std::vector<double> exponential_bounds(double start, double factor,
-                                                int count);
-
- private:
-  mutable std::mutex mu_;
-  std::vector<double> bounds_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Everything a registry held at one instant, name-sorted.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
-  std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
   std::vector<std::pair<std::string, LatencyHistogramSnapshot>> latency;
 
-  /// One JSON object:
-  /// {"counters":{...},"gauges":{...},"histograms":{...},"latency":{...}}.
+  /// One JSON object: {"counters":{...},"gauges":{...},"latency":{...}}.
   /// Latency histograms carry integer-ns buckets plus derived
   /// p50/p95/p99 so consumers need not re-implement the interpolation.
   std::string to_json() const;
 
   /// Long-form CSV via util/csv.h: rows of `kind,name,key,value` (counters
-  /// and gauges use key "value"; histograms emit per-bucket `le_<bound>`
-  /// rows plus count/sum/min/max; latency histograms emit only their
+  /// and gauges use key "value"; latency histograms emit only their
   /// non-empty `le_<ns>` buckets plus count/sum_ns/max_ns).
   void write_csv(std::ostream& out) const;
 };
 
 /// Named metric store. Metrics are created on first registration and live
-/// as long as the registry; re-registering a name returns the same object
-/// (histogram bounds are fixed by the first registration).
+/// as long as the registry; re-registering a name returns the same object.
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name,
-                       std::vector<double> upper_bounds);
   LatencyHistogram& latency(const std::string& name);
 
   MetricsSnapshot snapshot() const;
@@ -140,7 +98,6 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>> latency_;
 };
 
@@ -158,8 +115,6 @@ class LabeledMetricFamily {
 
   Counter& counter(const char* field) const;
   Gauge& gauge(const char* field) const;
-  Histogram& histogram(const char* field,
-                       std::vector<double> upper_bounds) const;
   LatencyHistogram& latency(const char* field) const;
 
   /// "<base><label>_", e.g. "engine_shard3_".

@@ -4,7 +4,9 @@
 // pointer. Construction registers the standard metric set once and caches
 // the returned handles, so every hook is a couple of cached-pointer updates
 // plus (when a sink is attached) one virtual call — no map lookups, no
-// allocation, nothing on the hot path that scales with registry size.
+// allocation, no lock, nothing on the hot path that scales with registry
+// size. The three timers (request_latency_ns, dp_stage_ns,
+// executor_replay_ns) are LatencyHistograms in integer nanoseconds.
 //
 // Attachment points:
 //   SpeculativeCachingOptions::observer  — SC + OnlineDataService
@@ -40,18 +42,9 @@ class Observer {
     replicas_alive_ = &metrics_->gauge("replicas_alive");
     items_live_ = &metrics_->gauge("items_live");
     service_resident_bytes_ = &metrics_->gauge("service_resident_bytes");
-    // µs scale: 1µs .. ~4s.
-    request_latency_us_ = &metrics_->histogram(
-        "request_latency_us", Histogram::exponential_bounds(1.0, 4.0, 12));
-    dp_stage_us_ = &metrics_->histogram(
-        "dp_stage_us", Histogram::exponential_bounds(1.0, 4.0, 12));
-    executor_replay_us_ = &metrics_->histogram(
-        "executor_replay_us", Histogram::exponential_bounds(1.0, 4.0, 12));
-    // Cost in lambda-ish units; 0 hits the first bucket via underflow bound.
-    cost_per_request_ = &metrics_->histogram(
-        "cost_per_request", Histogram::exponential_bounds(0.125, 2.0, 12));
-    replicas_per_request_ = &metrics_->histogram(
-        "replicas_per_request", {1, 2, 4, 8, 16, 32, 64, 128});
+    request_latency_ns_ = &metrics_->latency("request_latency_ns");
+    dp_stage_ns_ = &metrics_->latency("dp_stage_ns");
+    executor_replay_ns_ = &metrics_->latency("executor_replay_ns");
   }
 
   MetricsRegistry* metrics() const { return metrics_; }
@@ -65,8 +58,6 @@ class Observer {
     if (metrics_ != nullptr) {
       requests_served_->inc();
       (hit ? cache_hits_ : cache_misses_)->inc();
-      cost_per_request_->observe(cost_delta);
-      replicas_per_request_->observe(static_cast<double>(replicas_alive));
       replicas_alive_->set(static_cast<double>(replicas_alive));
     }
     if (sink_ != nullptr) {
@@ -140,11 +131,14 @@ class Observer {
     }
   }
 
-  /// `stage` must point to static storage (a string literal).
+  /// `stage` must point to static storage (a string literal). The
+  /// histogram records the stage time rounded to whole nanoseconds; the
+  /// event keeps the µs reading as given.
   void dp_stage_done(const char* stage, double micros) {
     if (metrics_ != nullptr) {
       dp_stages_->inc();
-      dp_stage_us_->observe(micros);
+      dp_stage_ns_->record(
+          micros > 0.0 ? static_cast<std::uint64_t>(micros * 1e3 + 0.5) : 0);
     }
     if (sink_ != nullptr) {
       Event e;
@@ -175,8 +169,8 @@ class Observer {
 
   // Cached histogram handles for ScopedTimer call sites (null without a
   // registry, which ScopedTimer treats as "off").
-  Histogram* request_latency_us() const { return request_latency_us_; }
-  Histogram* executor_replay_us() const { return executor_replay_us_; }
+  LatencyHistogram* request_latency_ns() const { return request_latency_ns_; }
+  LatencyHistogram* executor_replay_ns() const { return executor_replay_ns_; }
 
  private:
   MetricsRegistry* metrics_ = nullptr;
@@ -193,11 +187,9 @@ class Observer {
   Gauge* replicas_alive_ = nullptr;
   Gauge* items_live_ = nullptr;
   Gauge* service_resident_bytes_ = nullptr;
-  Histogram* request_latency_us_ = nullptr;
-  Histogram* dp_stage_us_ = nullptr;
-  Histogram* executor_replay_us_ = nullptr;
-  Histogram* cost_per_request_ = nullptr;
-  Histogram* replicas_per_request_ = nullptr;
+  LatencyHistogram* request_latency_ns_ = nullptr;
+  LatencyHistogram* dp_stage_ns_ = nullptr;
+  LatencyHistogram* executor_replay_ns_ = nullptr;
 };
 
 }  // namespace mcdc::obs

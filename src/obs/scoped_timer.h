@@ -1,10 +1,11 @@
-// RAII profiling scope feeding a metrics histogram.
+// RAII profiling scope feeding a latency histogram.
 //
 // Construct with the target histogram; destruction records the elapsed
-// wall time in microseconds. A null histogram disables the scope — the
-// usual pattern at instrumentation sites is
+// wall time in integer nanoseconds (LatencyHistogram::record, lock-free).
+// A null histogram disables the scope — the usual pattern at
+// instrumentation sites is
 //
-//   obs::ScopedTimer t(observer ? observer->request_latency_us() : nullptr);
+//   obs::ScopedTimer t(observer ? observer->request_latency_ns() : nullptr);
 //
 // so the disabled path pays only null tests — the clock is not read at
 // all (a steady_clock read is ~20ns, which alone would blow the <2%
@@ -14,7 +15,7 @@
 #include <chrono>
 #include <cstdint>
 
-#include "obs/metrics.h"
+#include "obs/latency_histogram.h"
 
 namespace mcdc::obs {
 
@@ -26,31 +27,23 @@ class ScopedTimer {
   using Clock = std::chrono::steady_clock;
 
  public:
-  explicit ScopedTimer(Histogram* hist) : hist_(hist) {
+  explicit ScopedTimer(LatencyHistogram* hist) : hist_(hist) {
     if (hist_ != nullptr) start_ = Clock::now();
   }
   ~ScopedTimer() {
     if (hist_ != nullptr) {
-      hist_->observe(static_cast<double>(elapsed_ns()) * 1e-3);
+      hist_->record(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                               start_)
+              .count()));
     }
   }
 
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
-  /// Elapsed µs so far; 0 when the scope is disabled.
-  double micros() const {
-    return hist_ != nullptr ? static_cast<double>(elapsed_ns()) * 1e-3 : 0.0;
-  }
-
  private:
-  std::int64_t elapsed_ns() const {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                                start_)
-        .count();
-  }
-
-  Histogram* hist_;
+  LatencyHistogram* hist_;
   Clock::time_point start_{};
 };
 

@@ -1,24 +1,11 @@
 #include "obs/sinks.h"
 
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
+#include "obs/format.h"
+
 namespace mcdc::obs {
-
-namespace {
-
-void append_num(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  double back = 0.0;
-  if (std::sscanf(buf, "%lf", &back) != 1 || back != v) {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  out += buf;
-}
-
-}  // namespace
 
 JsonlSink::JsonlSink(std::ostream& out) : out_(&out) {}
 
@@ -48,7 +35,7 @@ std::string JsonlSink::to_json(const Event& e) {
     out += ",\"";
     out += name;
     out += "\":";
-    append_num(out, v);
+    out += detail::num(v);
   };
   auto field_bool = [&out](const char* name, bool v) {
     out += ",\"";

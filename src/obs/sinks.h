@@ -15,7 +15,7 @@
 //                     so per-shard event streams interleave without racing.
 //
 // The zero-overhead "tracing off" path is a null sink *pointer* (see
-// obs::Observer), not a NullSink instance: with no observer attached the
+// obs::Observer), not a do-nothing sink: with no observer attached the
 // instrumented code does one pointer test and nothing else.
 #pragma once
 

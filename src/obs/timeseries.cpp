@@ -15,42 +15,6 @@ std::uint64_t telemetry_now_ns() noexcept {
           .count());
 }
 
-SampleRing::SampleRing(std::size_t capacity) : buf_(capacity) {
-  if (capacity == 0) {
-    throw std::invalid_argument("SampleRing: capacity must be > 0");
-  }
-}
-
-std::vector<TimeSample> SampleRing::samples() const {
-  const std::size_t n =
-      seen_ < buf_.size() ? static_cast<std::size_t>(seen_) : buf_.size();
-  std::vector<TimeSample> out;
-  out.reserve(n);
-  const std::uint64_t first = seen_ - n;
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(buf_[static_cast<std::size_t>((first + i) % buf_.size())]);
-  }
-  return out;
-}
-
-SpanRing::SpanRing(std::size_t capacity) : buf_(capacity) {
-  if (capacity == 0) {
-    throw std::invalid_argument("SpanRing: capacity must be > 0");
-  }
-}
-
-std::vector<TelemetrySpan> SpanRing::spans() const {
-  const std::size_t n =
-      seen_ < buf_.size() ? static_cast<std::size_t>(seen_) : buf_.size();
-  std::vector<TelemetrySpan> out;
-  out.reserve(n);
-  const std::uint64_t first = seen_ - n;
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(buf_[static_cast<std::size_t>((first + i) % buf_.size())]);
-  }
-  return out;
-}
-
 TelemetrySampler::TelemetrySampler(std::vector<Source> sources,
                                    std::chrono::milliseconds period,
                                    std::size_t capacity)
@@ -91,7 +55,7 @@ void TelemetrySampler::run() {
     lock.unlock();
     const std::uint64_t now = telemetry_now_ns();
     for (std::size_t i = 0; i < sources_.size(); ++i) {
-      rings_[i].push(now, sources_[i].probe());
+      rings_[i].push({now, sources_[i].probe()});
     }
     ticks_.fetch_add(1, std::memory_order_release);
     lock.lock();
@@ -106,7 +70,7 @@ std::vector<TelemetrySampler::Series> TelemetrySampler::series() const {
     Series s;
     s.name = sources_[i].name;
     s.seen = rings_[i].seen();
-    s.samples = rings_[i].samples();
+    s.samples = rings_[i].items();
     out.push_back(std::move(s));
   }
   return out;

@@ -1,7 +1,7 @@
-// Fixed-capacity telemetry rings and the background gauge sampler.
+// The fixed-capacity telemetry ring and the background gauge sampler.
 //
-// Everything here obeys the telemetry allocation contract: rings size
-// themselves fully at construction and never reallocate, so pushing a
+// Everything here obeys the telemetry allocation contract: a Ring sizes
+// itself fully at construction and never reallocates, so pushing a
 // sample or a span from a hot path (shard worker, sampler tick) is
 // allocation-free — the property the counting-operator-new test in
 // tests/test_telemetry.cpp pins down. Overflow keeps the newest entries
@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -33,41 +34,60 @@ namespace mcdc::obs {
 /// exported timelines align.
 std::uint64_t telemetry_now_ns() noexcept;
 
+/// Single-writer ring of trivially copyable entries: TimeSample for the
+/// sampler series, TelemetrySpan for the shard stage spans. Pre-allocated;
+/// keeps the newest `capacity` entries. Readers must synchronize with the
+/// writer externally (the sampler reads after stop(), the engine after
+/// join).
+template <typename T>
+class Ring {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "ring entries are bulk-copied on export");
+
+ public:
+  explicit Ring(std::size_t capacity) : buf_(capacity) {
+    if (capacity == 0) {
+      throw std::invalid_argument("obs::Ring: capacity must be > 0");
+    }
+  }
+
+  MCDC_NO_ALLOC MCDC_LOCK_FREE
+  void push(const T& entry) noexcept {
+    buf_[static_cast<std::size_t>(seen_ % buf_.size())] = entry;
+    ++seen_;
+  }
+
+  /// Retained entries, oldest first. Allocates (export path only).
+  std::vector<T> items() const {
+    const std::size_t n =
+        seen_ < buf_.size() ? static_cast<std::size_t>(seen_) : buf_.size();
+    std::vector<T> out;
+    out.reserve(n);
+    const std::uint64_t first = seen_ - n;
+    for (std::size_t i = 0; i < n; ++i) {
+      out.push_back(buf_[static_cast<std::size_t>((first + i) % buf_.size())]);
+    }
+    return out;
+  }
+
+  std::uint64_t seen() const { return seen_; }
+  std::size_t capacity() const { return buf_.size(); }
+
+ private:
+  std::vector<T> buf_;
+  std::uint64_t seen_ = 0;
+};
+
 /// One sampled value on the telemetry timeline.
 struct TimeSample {
   std::uint64_t t_ns = 0;
   double value = 0.0;
 };
 
-// Ring entries are bulk-copied on export and sized at ring construction;
-// the capacity math in the samplers assumes these exact footprints.
-static_assert(std::is_trivially_copyable_v<TimeSample> &&
-                  sizeof(TimeSample) == 16,
-              "TimeSample must stay a 16-byte POD (SampleRing slot)");
-
-/// Single-writer ring of TimeSamples. Pre-allocated; keeps the newest
-/// `capacity` entries. Readers must synchronize with the writer
-/// externally (the sampler reads after stop(), the engine after join).
-class SampleRing {
- public:
-  explicit SampleRing(std::size_t capacity);
-
-  MCDC_NO_ALLOC MCDC_LOCK_FREE
-  void push(std::uint64_t t_ns, double value) noexcept {
-    buf_[static_cast<std::size_t>(seen_ % buf_.size())] = {t_ns, value};
-    ++seen_;
-  }
-
-  /// Retained samples, oldest first. Allocates (export path only).
-  std::vector<TimeSample> samples() const;
-
-  std::uint64_t seen() const { return seen_; }
-  std::size_t capacity() const { return buf_.size(); }
-
- private:
-  std::vector<TimeSample> buf_;
-  std::uint64_t seen_ = 0;
-};
+// The capacity math in the samplers and the shard span rings assumes
+// these exact slot footprints.
+static_assert(sizeof(TimeSample) == 16,
+              "TimeSample must stay a 16-byte POD (Ring slot)");
 
 /// One timed stage execution (Chrome-trace "X" span). `name` must point
 /// to static storage — rings retain it verbatim.
@@ -78,34 +98,11 @@ struct TelemetrySpan {
   std::uint64_t weight = 0;  ///< records covered by the span (0 = n/a)
 };
 
-static_assert(std::is_trivially_copyable_v<TelemetrySpan> &&
-                  sizeof(TelemetrySpan) == 32,
-              "TelemetrySpan must stay a 32-byte POD (SpanRing slot)");
-
-/// Single-writer ring of TelemetrySpans; same contract as SampleRing.
-class SpanRing {
- public:
-  explicit SpanRing(std::size_t capacity);
-
-  MCDC_NO_ALLOC MCDC_LOCK_FREE
-  void push(const TelemetrySpan& s) noexcept {
-    buf_[static_cast<std::size_t>(seen_ % buf_.size())] = s;
-    ++seen_;
-  }
-
-  /// Retained spans, oldest first. Allocates (export path only).
-  std::vector<TelemetrySpan> spans() const;
-
-  std::uint64_t seen() const { return seen_; }
-  std::size_t capacity() const { return buf_.size(); }
-
- private:
-  std::vector<TelemetrySpan> buf_;
-  std::uint64_t seen_ = 0;
-};
+static_assert(sizeof(TelemetrySpan) == 32,
+              "TelemetrySpan must stay a 32-byte POD (Ring slot)");
 
 /// Optional background thread that probes a fixed set of sources every
-/// `period` and appends to one pre-allocated SampleRing per source.
+/// `period` and appends to one pre-allocated Ring<TimeSample> per source.
 /// Sources are registered at construction (probes must be safe to call
 /// from the sampler thread for the sampler's whole lifetime and must not
 /// allocate); start() launches the thread, stop() joins it. series() is
@@ -147,7 +144,7 @@ class TelemetrySampler {
   void run();
 
   std::vector<Source> sources_;
-  std::vector<SampleRing> rings_;  ///< parallel to sources_
+  std::vector<Ring<TimeSample>> rings_;  ///< parallel to sources_
   std::chrono::milliseconds period_;
 
   std::mutex mu_;

@@ -169,12 +169,6 @@ void NetworkSimulator::validate() const {
     throw std::invalid_argument(
         "NetworkSimulator: a controller needs interval > 0");
   }
-  if (het_ != nullptr && het_->m() != cfg_.load.num_servers) {
-    throw std::invalid_argument(
-        "NetworkSimulator: heterogeneous model is sized for " +
-        std::to_string(het_->m()) + " servers, scenario for " +
-        std::to_string(cfg_.load.num_servers));
-  }
   for (const MultiItemRequest& r : stream_) {
     if (r.item < 0 || r.item >= cfg_.load.num_items || r.server < 0 ||
         r.server >= cfg_.load.num_servers) {
@@ -553,24 +547,8 @@ NetworkRunResult run_network_sim(const ScenarioConfig& cfg,
                                  const ServingCostModel& cm,
                                  const std::vector<MultiItemRequest>& stream,
                                  WindowController* controller) {
-  // Resolve cfg.cost against the explicit model, mirroring the engine's
-  // rule: the string form may select heterogeneity, but two heterogeneous
-  // sources conflict.
-  ServingCostModel effective = cm;
-  if (cfg.cost != "hom") {
-    if (cfg.cost.rfind("het:", 0) != 0) {
-      throw std::invalid_argument(
-          "run_network_sim: ScenarioConfig::cost must be \"hom\" or "
-          "\"het:<spec>\", got \"" + cfg.cost + "\"");
-    }
-    if (cm.heterogeneous()) {
-      throw std::invalid_argument(
-          "run_network_sim: both the cost-model argument and "
-          "ScenarioConfig::cost are heterogeneous — pick one");
-    }
-    effective =
-        ServingCostModel(HeterogeneousCostModel::parse(cfg.cost.substr(4)));
-  }
+  const ServingCostModel effective =
+      resolve_cost(cfg.cost, cm, cfg.load.num_servers, "run_network_sim");
   NetworkSimulator sim(cfg, effective, stream, controller);
   return sim.run();
 }

@@ -51,6 +51,11 @@ std::uint64_t parse_u64(const std::string& key, const std::string& value,
   return kvform::parse_u64(kCtx, key, value, expected);
 }
 
+int parse_int(const std::string& key, const std::string& value,
+              const char* expected) {
+  return kvform::parse_int(kCtx, key, value, expected);
+}
+
 double parse_f64(const std::string& key, const std::string& value,
                  const char* expected) {
   return kvform::parse_f64(kCtx, key, value, expected);
@@ -123,12 +128,10 @@ ScenarioConfig ScenarioConfig::parse(const std::string& text) {
       }
       cfg.load.shape = parse_load_shape(value.c_str());
     } else if (key == "servers") {
-      cfg.load.num_servers = static_cast<int>(
-          parse_u64(key, value, "a server count >= 2"));
+      cfg.load.num_servers = parse_int(key, value, "a server count >= 2");
       if (cfg.load.num_servers < 2) bad_value(key, value, "a server count >= 2");
     } else if (key == "items") {
-      cfg.load.num_items =
-          static_cast<int>(parse_u64(key, value, "an item count >= 1"));
+      cfg.load.num_items = parse_int(key, value, "an item count >= 1");
       if (cfg.load.num_items < 1) bad_value(key, value, "an item count >= 1");
     } else if (key == "users") {
       cfg.load.users = parse_f64(key, value, "a user population > 0");
@@ -192,8 +195,7 @@ ScenarioConfig ScenarioConfig::parse(const std::string& text) {
       cfg.item_size = parse_f64(key, value, "an item size > 0");
       if (!(cfg.item_size > 0.0)) bad_value(key, value, "an item size > 0");
     } else if (key == "slots") {
-      cfg.transfer_slots =
-          static_cast<int>(parse_u64(key, value, "a slot count >= 1"));
+      cfg.transfer_slots = parse_int(key, value, "a slot count >= 1");
       if (cfg.transfer_slots < 1) bad_value(key, value, "a slot count >= 1");
     } else if (key == "slo") {
       cfg.slo = parse_f64(key, value, "a latency SLO >= 0");

@@ -268,31 +268,8 @@ ScenarioReport run_scenario_het(const ScenarioConfig& cfg,
 
 ScenarioReport run_scenario(const ScenarioConfig& cfg,
                             const ServingCostModel& cm) {
-  // Resolve cfg.cost against the explicit model (the run_network_sim /
-  // StreamingEngine rule: the string may select heterogeneity; two het
-  // sources conflict).
-  ServingCostModel effective = cm;
-  if (cfg.cost != "hom") {
-    if (cfg.cost.rfind("het:", 0) != 0) {
-      throw std::invalid_argument(
-          "run_scenario: ScenarioConfig::cost must be \"hom\" or "
-          "\"het:<spec>\", got \"" + cfg.cost + "\"");
-    }
-    if (cm.heterogeneous()) {
-      throw std::invalid_argument(
-          "run_scenario: both the cost-model argument and "
-          "ScenarioConfig::cost are heterogeneous — pick one");
-    }
-    effective =
-        ServingCostModel(HeterogeneousCostModel::parse(cfg.cost.substr(4)));
-  }
-  if (effective.het() != nullptr &&
-      effective.het()->m() != cfg.load.num_servers) {
-    throw std::invalid_argument(
-        "run_scenario: heterogeneous model is sized for " +
-        std::to_string(effective.het()->m()) + " servers, scenario for " +
-        std::to_string(cfg.load.num_servers));
-  }
+  const ServingCostModel effective =
+      resolve_cost(cfg.cost, cm, cfg.load.num_servers, "run_scenario");
 
   ScenarioReport rep;
   rep.config = cfg;

@@ -165,7 +165,7 @@ OnlineDataService::OnlineDataService(int num_servers,
 MCDC_NO_ALLOC MCDC_HOT_PATH
 bool OnlineDataService::request(int item, ServerId server, Time time) {
   obs::Observer* ob = options_.observer;
-  obs::ScopedTimer latency_timer(ob != nullptr ? ob->request_latency_us()
+  obs::ScopedTimer latency_timer(ob != nullptr ? ob->request_latency_ns()
                                                : nullptr);
   if (finished_) throw std::logic_error("OnlineDataService: already finished");
   if (server < 0 || server >= num_servers_) {

@@ -42,7 +42,7 @@ std::string ExecutionReport::to_string() const {
 ExecutionReport execute_schedule(const Schedule& schedule,
                                  const RequestSequence& seq, const CostModel& cm,
                                  obs::Observer* observer) {
-  obs::ScopedTimer replay_timer(observer != nullptr ? observer->executor_replay_us()
+  obs::ScopedTimer replay_timer(observer != nullptr ? observer->executor_replay_ns()
                                                     : nullptr);
   ExecutionReport rep;
   auto fail = [&rep](const std::string& msg) {

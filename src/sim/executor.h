@@ -42,7 +42,7 @@ struct ExecutionReport {
 /// Replay `schedule` for `seq` under `cm`. The schedule should be
 /// normalized (the executor normalizes a copy if needed). When `observer`
 /// is set, the sweep emits one event per request/transfer/interval and
-/// feeds the `executor_replay_us` histogram.
+/// feeds the `executor_replay_ns` histogram.
 ExecutionReport execute_schedule(const Schedule& schedule,
                                  const RequestSequence& seq, const CostModel& cm,
                                  obs::Observer* observer = nullptr);

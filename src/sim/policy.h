@@ -40,6 +40,13 @@ class ReplicaContext {
   virtual void wake_at(Time t) = 0;
 };
 
+struct PolicyRunOptions;
+struct PolicyRunResult;
+struct CostModel;
+
+/// A policy object is single-use: it keeps its state (last server,
+/// counters, windows) across callbacks, so run_policy() runs each object
+/// once and throws std::logic_error when handed one that already ran.
 class OnlinePolicy {
  public:
   virtual ~OnlinePolicy() = default;
@@ -57,6 +64,12 @@ class OnlinePolicy {
 
   /// Called for wake-ups scheduled via wake_at.
   virtual void on_wake(ReplicaContext& ctx) { (void)ctx; }
+
+ private:
+  friend PolicyRunResult run_policy(const RequestSequence& seq,
+                                    const CostModel& cm, OnlinePolicy& policy,
+                                    const PolicyRunOptions& options);
+  bool ran_ = false;  ///< set by run_policy() only
 };
 
 }  // namespace mcdc

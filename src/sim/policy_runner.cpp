@@ -154,6 +154,11 @@ PolicyRunResult run_policy(const RequestSequence& seq, const CostModel& cm,
     throw std::invalid_argument(
         "run_policy: failure injection needs an Rng and prob < 1");
   }
+  if (policy.ran_) {
+    throw std::logic_error("run_policy: policy '" + policy.name() +
+                           "' already ran; a policy object runs once");
+  }
+  policy.ran_ = true;
   PolicyRunResult out;
   out.policy_name = policy.name();
   RunnerContext ctx(seq, cm, options, out);

@@ -48,6 +48,8 @@ struct PolicyRunResult {
 
 /// Run `policy` over `seq` under `cm`. The clock starts at t_0 = 0 with the
 /// initial copy on seq.origin() and stops at t_n (copies truncate there).
+/// Each policy object runs once: a second call with the same object throws
+/// std::logic_error naming the policy (construct a fresh one per run).
 PolicyRunResult run_policy(const RequestSequence& seq, const CostModel& cm,
                            OnlinePolicy& policy,
                            const PolicyRunOptions& options = {});

@@ -7,6 +7,9 @@
 // Conventions enforced here:
 //  * whole-token parses — "4x" is an error for an integer key, never a
 //    partial parse of 4;
+//  * range-checked parses — an integer that overflows its field (or
+//    uint64_t) and a non-finite float ("inf", "nan", "1e309") are errors,
+//    never a wrapped or narrowed value;
 //  * floats render via std::to_chars with no precision argument (the
 //    shortest decimal that round-trips), and parse via std::from_chars,
 //    so parse(to_string()) is exact for every representable value;
@@ -19,7 +22,9 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -40,22 +45,35 @@ namespace mcdc::kvform {
                               expected + ")");
 }
 
-/// Whole-token non-negative integer; rejects partial parses like "4x" and
-/// the empty token with the uniform bad_value error.
-inline std::uint64_t parse_u64(const std::string& context,
-                               const std::string& key,
-                               const std::string& value,
-                               const std::string& expected) {
+/// Whole-token non-negative integer no larger than `max`; rejects partial
+/// parses like "4x", the empty token and any value above `max` (overflow
+/// of uint64_t included) with the uniform bad_value error.
+inline std::uint64_t parse_u64(
+    const std::string& context, const std::string& key,
+    const std::string& value, const std::string& expected,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   if (value.empty()) bad_value(context, key, value, expected);
   std::uint64_t out = 0;
   for (const char c : value) {
     if (c < '0' || c > '9') bad_value(context, key, value, expected);
-    out = out * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (out > (max - digit) / 10) bad_value(context, key, value, expected);
+    out = out * 10 + digit;
   }
   return out;
 }
 
-/// Whole-token double via from_chars (the exact inverse of append_double).
+/// parse_u64 for an `int` field: rejects anything above INT_MAX before it
+/// narrows.
+inline int parse_int(const std::string& context, const std::string& key,
+                     const std::string& value, const std::string& expected) {
+  return static_cast<int>(parse_u64(context, key, value, expected,
+                                    std::numeric_limits<int>::max()));
+}
+
+/// Whole-token finite double via from_chars (the exact inverse of
+/// append_double); "inf", "nan" and out-of-range literals like "1e309"
+/// are rejected.
 inline double parse_f64(const std::string& context, const std::string& key,
                         const std::string& value,
                         const std::string& expected) {
@@ -63,7 +81,8 @@ inline double parse_f64(const std::string& context, const std::string& key,
   const char* first = value.data();
   const char* last = value.data() + value.size();
   const auto res = std::from_chars(first, last, out);
-  if (value.empty() || res.ec != std::errc{} || res.ptr != last) {
+  if (value.empty() || res.ec != std::errc{} || res.ptr != last ||
+      !std::isfinite(out)) {
     bad_value(context, key, value, expected);
   }
   return out;

@@ -1,5 +1,6 @@
-// Wall-clock timing: the stopwatch behind bench harnesses and the obs
-// profiling scopes (obs::ScopedTimer feeds histograms from it).
+// Wall-clock timing: the stopwatch behind bench harnesses and the off-line
+// DP's stage timings (Observer::dp_stage_done). obs::ScopedTimer reads
+// steady_clock itself and records integer nanoseconds.
 #pragma once
 
 #include <chrono>

@@ -28,6 +28,9 @@
 //     transfers, hits, and aggregate ServiceReport totals must be
 //     BIT-identical (item independence makes the equivalence exact; the
 //     merge reproduces the serial summation order).
+//   * the config-string parsers (EngineConfig, ScenarioConfig, the het
+//     cost spec) on mutated canonical strings: a named rejection, or a
+//     value whose to_string() parses back unchanged.
 //
 // Iteration count is bounded by default and overridable for long runs:
 //   MCDC_FUZZ_ITERS  number of random instances (default 1000)
@@ -37,9 +40,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,6 +53,7 @@
 #include "baselines/offline_exact.h"
 #include "baselines/offline_quadratic.h"
 #include "baselines/solve.h"
+#include "config_generators.h"
 #include "core/offline_dp.h"
 #include "core/online_sc.h"
 #include "core/reductions.h"
@@ -748,6 +755,126 @@ TEST(FuzzDifferential, HetHomEquivalentBitIdentical) {
       ASSERT_EQ(hom_net.latency_p99, het_net.latency_p99);
     }
     if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// Config-string lane: canonical strings of random valid EngineConfigs,
+// ScenarioConfigs and het cost specs, mutated byte-wise and spliced with
+// hostile numbers. Every parse must either throw std::invalid_argument or
+// return a value whose to_string() parses back to the same string. The
+// lane only parses: a fuzzed string never builds an engine or runs a
+// scenario, since either could start thousands of threads or run without
+// end.
+
+std::string mutate_config(Rng& rng, std::string s) {
+  static const char* const kSplices[] = {
+      "nan", "inf", "-inf", "1e309", "99999999999999999999",
+      "18446744073709551616", "4294967297", "-1"};
+  static const std::string kStructural = ",;=|x.-e0123456789";
+  const auto random_byte = [&rng]() {
+    return rng.bernoulli(0.5)
+               ? kStructural[rng.uniform_int(std::uint64_t{kStructural.size()})]
+               : static_cast<char>(rng.uniform_int(std::uint64_t{256}));
+  };
+  const int edits = 1 + static_cast<int>(rng.uniform_int(std::uint64_t{3}));
+  for (int e = 0; e < edits; ++e) {
+    const std::size_t pos = rng.uniform_int(std::uint64_t{s.size() + 1});
+    switch (rng.uniform_int(std::uint64_t{5})) {
+      case 0:
+        s.resize(pos);
+        break;
+      case 1:
+        s.insert(pos, 1, random_byte());
+        break;
+      case 2:
+        if (pos < s.size()) s.erase(pos, 1);
+        break;
+      case 3:
+        if (pos < s.size()) s[pos] = random_byte();
+        break;
+      default: {
+        // Replace one whole value (after a random '=' or '|') when there
+        // is one, so the splice lands where a number is parsed.
+        const char* splice =
+            kSplices[rng.uniform_int(std::uint64_t{std::size(kSplices)})];
+        std::vector<std::size_t> starts;
+        for (std::size_t i = 0; i < s.size(); ++i) {
+          if (s[i] == '=' || s[i] == '|') starts.push_back(i + 1);
+        }
+        if (starts.empty()) {
+          s.insert(pos, splice);
+          break;
+        }
+        const std::size_t at =
+            starts[rng.uniform_int(std::uint64_t{starts.size()})];
+        const std::size_t end = std::min(s.find_first_of(",;|", at), s.size());
+        s.replace(at, end - at, splice);
+        break;
+      }
+    }
+  }
+  return s;
+}
+
+// True when `text` parsed (and then round-tripped); false on rejection.
+template <typename Parse>
+bool expect_rejected_or_canonical(const std::string& text, Parse parse) {
+  std::string canon;
+  try {
+    canon = parse(text).to_string();
+  } catch (const std::invalid_argument&) {
+    return false;  // a named rejection is the other allowed outcome
+  }
+  std::string back;
+  EXPECT_NO_THROW(back = parse(canon).to_string()) << "input: " << text;
+  EXPECT_EQ(back, canon) << "input: " << text;
+  return true;
+}
+
+TEST(FuzzDifferential, ConfigStringsRejectOrRoundTrip) {
+  const std::uint64_t iters = env_u64("MCDC_FUZZ_ITERS", 1000);
+  const std::uint64_t base_seed = env_u64("MCDC_FUZZ_SEED", 20170814);
+
+  const auto engine = [](const std::string& t) {
+    return EngineConfig::parse(t);
+  };
+  const auto scenario = [](const std::string& t) {
+    return scenlab::ScenarioConfig::parse(t);
+  };
+  const auto het = [](const std::string& t) {
+    return HeterogeneousCostModel::parse(t);
+  };
+  std::uint64_t accepted = 0;
+  for (std::uint64_t it = 0; it < iters; ++it) {
+    const std::uint64_t seed = base_seed + 0xF00000000ULL + it;
+    Rng rng(seed);
+    SCOPED_TRACE("config seed=" + std::to_string(seed));
+    const int m = 2 + static_cast<int>(rng.uniform_int(std::uint64_t{4}));
+    const std::string het_spec =
+        random_het_model(rng, m, static_cast<int>(it % 3)).to_string();
+    EngineConfig ecfg = random_engine_config(rng);
+    scenlab::ScenarioConfig scfg = random_scenario_config(rng);
+    if (rng.bernoulli(0.5)) ecfg.cost = "het:" + het_spec;
+    if (rng.bernoulli(0.5)) scfg.cost = "het:" + het_spec;
+    for (int k = 0; k < 4; ++k) {
+      accepted += expect_rejected_or_canonical(
+          mutate_config(rng, ecfg.to_string()), engine);
+      accepted += expect_rejected_or_canonical(
+          mutate_config(rng, scfg.to_string()), scenario);
+      accepted += expect_rejected_or_canonical(mutate_config(rng, het_spec),
+                                               het);
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  // Both outcomes must occur, or the mutations are too mild or too wild
+  // to test anything.
+  const std::uint64_t parsed = 12 * iters;
+  std::printf("config lane: %llu of %llu mutated strings accepted\n",
+              static_cast<unsigned long long>(accepted),
+              static_cast<unsigned long long>(parsed));
+  if (iters >= 100) {
+    EXPECT_GT(accepted, parsed / 20);
+    EXPECT_GT(parsed - accepted, parsed / 20);
   }
 }
 

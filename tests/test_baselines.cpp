@@ -3,6 +3,7 @@
 // the windowed lookahead algorithm.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "baselines/lookahead.h"
@@ -398,12 +399,13 @@ TEST(SolveFacade, ObserverPassesThroughToDp) {
   const auto res = solve_offline(
       seq, cm, {.algorithm = OfflineAlgorithm::kDp, .observer = &observer});
   EXPECT_GT(res.optimal_cost, 0.0);
+  // One dp_stage_ns sample per stage: bounds, forward, reconstruct.
   const auto snap = reg.snapshot();
-  bool saw_stage_histogram = false;
-  for (const auto& [name, h] : snap.histograms) {
-    if (name == "dp_stage_us" && h.count > 0) saw_stage_histogram = true;
-  }
-  EXPECT_TRUE(saw_stage_histogram);
+  const auto stage = std::find_if(
+      snap.latency.begin(), snap.latency.end(),
+      [](const auto& named) { return named.first == "dp_stage_ns"; });
+  ASSERT_NE(stage, snap.latency.end());
+  EXPECT_EQ(stage->second.count, 3u);
 }
 
 TEST(SolveFacade, HetLiftDispatchesToDpBitIdentical) {

@@ -22,6 +22,7 @@
 #include "engine/streaming_engine.h"
 #include "obs/observer.h"
 #include "obs/sinks.h"
+#include "config_generators.h"
 #include "service/data_service.h"
 #include "util/rng.h"
 #include "workload/generators.h"
@@ -730,20 +731,8 @@ TEST(EngineConfig, ToStringParseRoundTrip) {
   // Property test: parse(to_string()) is the identity on every scalar
   // field, across randomized configurations.
   Rng rng(123);
-  const BackpressurePolicy policies[] = {BackpressurePolicy::kBlock,
-                                         BackpressurePolicy::kDrop};
   for (int iter = 0; iter < 200; ++iter) {
-    EngineConfig cfg;
-    cfg.num_shards = static_cast<int>(rng.uniform_int(0, 64));
-    cfg.queue_capacity = static_cast<std::size_t>(rng.uniform_int(1, 1 << 16));
-    cfg.policy = policies[rng.uniform_int(2)];
-    cfg.telemetry = rng.bernoulli(0.5);
-    cfg.sample_ms = static_cast<std::size_t>(rng.uniform_int(0, 1000));
-    // Only canonical specs round-trip verbatim (parse canonicalizes the
-    // tier shorthand into matrix form; that is pinned separately below).
-    const char* costs[] = {"hom", "het:mu=1|2;lam=0|0.5|0.5|0",
-                           "het:mu=2|2|2;lam=0|1|1|1|0|1|1|1|0"};
-    cfg.cost = costs[rng.uniform_int(3)];
+    const EngineConfig cfg = random_engine_config(rng);
     const std::string text = cfg.to_string();
     const EngineConfig back = EngineConfig::parse(text);
     EXPECT_EQ(back.num_shards, cfg.num_shards) << text;
@@ -801,6 +790,22 @@ TEST(EngineConfig, ParseErrorsNameKeyTokenAndChoices) {
   expect_parse_error("cost=het:mu=1|1;lam=0|1|1", "cost", "m*m=4");
   // Malformed token (no '='): echoed back with the key list.
   expect_parse_error("shards", "shards", keys);
+  // Out-of-range integers: rejected before they wrap in uint64_t or
+  // narrow into their field.
+  expect_parse_error("shards=4294967297", "\"shards\"", "4294967297");
+  expect_parse_error("shards=2147483648", "\"shards\"", "2147483648");
+  expect_parse_error("shards=99999999999999999999", "\"shards\"",
+                     "99999999999999999999");
+  expect_parse_error("cap=18446744073709551617", "\"cap\"",
+                     "18446744073709551617");
+  expect_parse_error("sample_ms=18446744073709551616", "\"sample_ms\"",
+                     "18446744073709551616");
+  // The largest in-range values still parse and render back.
+  const EngineConfig widest =
+      EngineConfig::parse("shards=2147483647,cap=18446744073709551615");
+  EXPECT_EQ(widest.num_shards, 2147483647);
+  EXPECT_EQ(EngineConfig::parse(widest.to_string()).to_string(),
+            widest.to_string());
 
   // Omitted keys keep their defaults; order does not matter.
   const EngineConfig defaults;

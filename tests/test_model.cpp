@@ -257,6 +257,9 @@ TEST(HeterogeneousCostModel, ParseErrorsNameKeyTokenAndChoices) {
   expect_spec_error("mu=1|1;lam=0|1|1|0;bogus=3", "bogus", "mu|lam|tier|metric");
   expect_spec_error("mu=1|1;lam=0|1|1", "lam", "m*m=4");
   expect_spec_error("tier=2z2;mu=1|1;lam=1|1|1", "2z2", "tier");
+  // Each count fits an int, their sum does not.
+  expect_spec_error("tier=2147483647x1;mu=1|1;lam=1|1|1", "2147483647x1",
+                    "tier");
   expect_spec_error("tier=2x2;mu=1;lam=1|1|1", "mu", "2 values");
   expect_spec_error("tier=2x2;mu=1|1;lam=1|1", "lam", "3 values");
   expect_spec_error("mu=1|1;lam=0|1|1|0;metric=maybe", "maybe", "on|off");

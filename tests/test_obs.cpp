@@ -57,6 +57,15 @@ std::vector<std::string> split_lines(const std::string& text) {
   return lines;
 }
 
+// The named latency histogram in a snapshot, or null when it is missing.
+const obs::LatencyHistogramSnapshot* find_latency(
+    const obs::MetricsSnapshot& snap, const std::string& name) {
+  for (const auto& [n, h] : snap.latency) {
+    if (n == name) return &h;
+  }
+  return nullptr;
+}
+
 // --- metrics registry ------------------------------------------------------
 
 TEST(Metrics, CountersGaugesRegisterAndSnapshot) {
@@ -78,60 +87,30 @@ TEST(Metrics, CountersGaugesRegisterAndSnapshot) {
   EXPECT_DOUBLE_EQ(snap.gauges[0].second, 3.0);
 }
 
-TEST(Metrics, HistogramBucketEdges) {
-  obs::Histogram h({1.0, 2.0, 5.0});
-  h.observe(0.5);   // <= 1       -> bucket 0
-  h.observe(1.0);   // == edge    -> bucket 0 (le convention)
-  h.observe(1.5);   //            -> bucket 1
-  h.observe(2.0);   // == edge    -> bucket 1
-  h.observe(5.0);   // == last    -> bucket 2
-  h.observe(7.0);   // overflow   -> bucket 3
-
-  const auto s = h.snapshot();
-  ASSERT_EQ(s.counts.size(), 4u);
-  EXPECT_EQ(s.counts[0], 2u);
-  EXPECT_EQ(s.counts[1], 2u);
-  EXPECT_EQ(s.counts[2], 1u);
-  EXPECT_EQ(s.counts[3], 1u);
-  EXPECT_EQ(s.count, 6u);
-  EXPECT_DOUBLE_EQ(s.min, 0.5);
-  EXPECT_DOUBLE_EQ(s.max, 7.0);
-  EXPECT_NEAR(s.sum, 17.0, 1e-12);
-  EXPECT_NEAR(s.mean(), 17.0 / 6.0, 1e-12);
-}
-
-TEST(Metrics, HistogramRejectsBadBounds) {
-  EXPECT_THROW(obs::Histogram({}), std::invalid_argument);
-  EXPECT_THROW(obs::Histogram({2.0, 1.0}), std::invalid_argument);
-  EXPECT_THROW(obs::Histogram({1.0, 1.0}), std::invalid_argument);
-}
-
-TEST(Metrics, ExponentialBounds) {
-  const auto b = obs::Histogram::exponential_bounds(1.0, 2.0, 4);
-  ASSERT_EQ(b.size(), 4u);
-  EXPECT_DOUBLE_EQ(b[0], 1.0);
-  EXPECT_DOUBLE_EQ(b[3], 8.0);
-}
-
 TEST(Metrics, JsonAndCsvExport) {
   obs::MetricsRegistry reg;
   reg.counter("hits").inc(3);
   reg.gauge("replicas").set(2.0);
-  reg.histogram("lat", {1.0, 10.0}).observe(4.0);
+  reg.latency("lat_ns").record(4);  // bucket 2: [4, 8)
 
   const std::string json = reg.to_json();
-  EXPECT_NE(json.find("\"hits\":3"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"replicas\":2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"counts\":[0,1,0]"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"sum\":4"), std::string::npos) << json;
+  EXPECT_TRUE(json.starts_with(
+      "{\"counters\":{\"hits\":3},\"gauges\":{\"replicas\":2},"
+      "\"latency\":{\"lat_ns\":{\"counts\":[0,0,1,0,"))
+      << json;
+  EXPECT_NE(json.find("\"count\":1,\"sum_ns\":4,\"max_ns\":4,"),
+            std::string::npos)
+      << json;
 
   std::ostringstream csv;
   reg.write_csv(csv);
-  const auto lines = split_lines(csv.str());
-  // header + counter + gauge + (2 buckets + overflow + count/sum/min/max).
-  ASSERT_EQ(lines.size(), 10u);
-  EXPECT_EQ(lines[0], "kind,name,key,value");
-  EXPECT_EQ(lines[1], "counter,hits,value,3");
+  // header + counter + gauge + (one occupied bucket + count/sum_ns/max_ns).
+  EXPECT_EQ(split_lines(csv.str()),
+            (std::vector<std::string>{
+                "kind,name,key,value", "counter,hits,value,3",
+                "gauge,replicas,value,2", "latency,lat_ns,le_8,1",
+                "latency,lat_ns,count,1", "latency,lat_ns,sum_ns,4",
+                "latency,lat_ns,max_ns,4"}));
 }
 
 // --- sinks -----------------------------------------------------------------
@@ -211,7 +190,7 @@ TEST(Sinks, RingBufferKeepsNewestAndCountsAll) {
 // --- scoped timer ----------------------------------------------------------
 
 TEST(ScopedTimer, FeedsHistogram) {
-  obs::Histogram h(obs::Histogram::exponential_bounds(1.0, 4.0, 10));
+  obs::LatencyHistogram h;
   {
     obs::ScopedTimer t(&h);
     volatile double x = 0;
@@ -220,7 +199,8 @@ TEST(ScopedTimer, FeedsHistogram) {
   { obs::ScopedTimer off(nullptr); }  // null histogram: no-op
   const auto s = h.snapshot();
   EXPECT_EQ(s.count, 1u);
-  EXPECT_GE(s.sum, 0.0);
+  EXPECT_GT(s.sum_ns, 0u);
+  EXPECT_EQ(s.max_ns, s.sum_ns);
 }
 
 TEST(ScopedTimer, TimerElapsedNsMonotone) {
@@ -335,6 +315,10 @@ TEST(ObsIntegration, DpEmitsStageEvents) {
   EXPECT_EQ(stages[0], "bounds");
   EXPECT_EQ(stages[1], "forward");
   EXPECT_EQ(stages[2], "reconstruct");
+  const auto snap = reg.snapshot();
+  const auto* stage_ns = find_latency(snap, "dp_stage_ns");
+  ASSERT_NE(stage_ns, nullptr);
+  EXPECT_EQ(stage_ns->count, 3u);
 
   // Skipping reconstruction drops that stage.
   obs::RingBufferSink ring2;
@@ -407,9 +391,10 @@ TEST(ObsIntegration, ServiceEventStreamCarriesItemsAndAbsoluteTime) {
   EXPECT_TRUE(saw_items_live);
   EXPECT_TRUE(saw_resident);
   // Latency histogram sampled once per request.
-  for (const auto& [name, h] : reg.snapshot().histograms) {
-    if (name == "request_latency_us") { EXPECT_EQ(h.count, stream.size()); }
-  }
+  const auto snap = reg.snapshot();
+  const auto* latency = find_latency(snap, "request_latency_ns");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count, stream.size());
 }
 
 // --- executor integration --------------------------------------------------
@@ -444,9 +429,10 @@ TEST(ObsIntegration, ExecutorEmitsReplayEvents) {
     }
   }
   EXPECT_NEAR(booked, rep.measured_total_cost, 1e-9);
-  for (const auto& [name, h] : reg.snapshot().histograms) {
-    if (name == "executor_replay_us") { EXPECT_EQ(h.count, 1u); }
-  }
+  const auto snap = reg.snapshot();
+  const auto* replay = find_latency(snap, "executor_replay_ns");
+  ASSERT_NE(replay, nullptr);
+  EXPECT_EQ(replay->count, 1u);
 }
 
 // --- report formatting (satellite) -----------------------------------------

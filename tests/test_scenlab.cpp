@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "config_generators.h"
 #include "scenlab/adaptive.h"
 #include "scenlab/event_queue.h"
 #include "scenlab/network_sim.h"
@@ -102,40 +103,8 @@ TEST(ScenarioConfig, DefaultRoundTrips) {
 
 TEST(ScenarioConfig, RoundTrips200RandomConfigs) {
   Rng rng(20260807);
-  const LoadShape shapes[] = {LoadShape::kUniform, LoadShape::kDiurnal,
-                              LoadShape::kFlashCrowd, LoadShape::kMixed};
   for (int i = 0; i < 200; ++i) {
-    ScenarioConfig cfg;
-    cfg.load.shape = shapes[rng.uniform_int(std::uint64_t(4))];
-    cfg.load.num_servers = static_cast<int>(rng.uniform_int(2, 32));
-    cfg.load.num_items = static_cast<int>(rng.uniform_int(1, 512));
-    cfg.load.users = rng.uniform(1.0, 5e6);
-    cfg.load.rate_per_user = rng.uniform(1e-7, 1e-2);
-    cfg.load.duration = rng.uniform(1.0, 400.0);
-    cfg.load.period = rng.uniform(0.5, 48.0);
-    cfg.load.day_night_ratio = rng.uniform(1.0, 20.0);
-    cfg.load.flash_every = rng.uniform(0.5, 50.0);
-    cfg.load.flash_len = rng.uniform(0.1, 10.0);
-    cfg.load.flash_boost = rng.uniform(1.0, 30.0);
-    cfg.load.flash_affinity = rng.uniform();
-    cfg.load.item_alpha = rng.uniform(0.0, 2.0);
-    cfg.load.server_alpha = rng.uniform(0.0, 2.0);
-    cfg.bandwidth = rng.uniform(0.1, 100.0);
-    cfg.item_size = rng.uniform(0.1, 100.0);
-    cfg.transfer_slots = static_cast<int>(rng.uniform_int(1, 64));
-    cfg.slo = rng.uniform(0.0, 10.0);
-    cfg.policy = rng.bernoulli(0.5) ? ScenarioPolicy::kAdaptive
-                                    : ScenarioPolicy::kStatic;
-    cfg.window = rng.uniform(0.01, 16.0);
-    cfg.interval = rng.uniform(0.1, 24.0);
-    cfg.epoch = rng.uniform_int(std::uint64_t(100));
-    cfg.seed = rng.next_u64();
-    // Canonical specs only: parse canonicalizes, so only already-canonical
-    // strings round-trip verbatim (tier shorthand pinned separately).
-    const char* costs[] = {"hom", "het:mu=1|2;lam=0|0.5|0.5|0",
-                           "het:mu=2|2|2;lam=0|1|1|1|0|1|1|1|0"};
-    cfg.cost = costs[rng.uniform_int(std::uint64_t(3))];
-
+    const ScenarioConfig cfg = random_scenario_config(rng);
     const std::string text = cfg.to_string();
     SCOPED_TRACE(text);
     EXPECT_EQ(ScenarioConfig::parse(text), cfg) << "iteration " << i;
@@ -217,6 +186,39 @@ TEST(ScenarioConfig, ErrorsNameKeyTokenAndChoices) {
   EXPECT_THROW(ScenarioConfig::parse("window=-1"), std::invalid_argument);
   EXPECT_THROW(ScenarioConfig::parse("flash_affinity=1.5"),
                std::invalid_argument);
+}
+
+TEST(ScenarioConfig, RejectsOutOfRangeAndNonFiniteNumbers) {
+  const auto expect_rejected = [](const std::string& key,
+                                  const std::string& value) {
+    try {
+      ScenarioConfig::parse(key + "=" + value);
+      ADD_FAILURE() << "no exception for " << key << "=" << value;
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("\"" + key + "\""), std::string::npos) << msg;
+    }
+  };
+  // Integers that wrap in uint64_t or narrow into an int field.
+  expect_rejected("servers", "4294967298");
+  expect_rejected("items", "2147483648");
+  expect_rejected("slots", "4294967297");
+  expect_rejected("seed", "99999999999999999999999");
+  expect_rejected("epoch", "18446744073709551616");
+  // No float key gives a meaning to a non-finite value.
+  for (const char* key :
+       {"users", "rate", "duration", "period", "day_night", "flash_every",
+        "flash_len", "flash_boost", "flash_affinity", "zipf_items",
+        "zipf_servers", "bw", "size", "slo", "window", "interval"}) {
+    for (const char* value : {"inf", "nan", "1e309"}) {
+      expect_rejected(key, value);
+    }
+  }
+  // The widest in-range integers still parse.
+  EXPECT_EQ(ScenarioConfig::parse("seed=18446744073709551615").seed,
+            18446744073709551615ULL);
+  EXPECT_EQ(ScenarioConfig::parse("servers=2147483647").load.num_servers,
+            2147483647);
 }
 
 // ---------------- Scenario load generation ----------------

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "core/offline_dp.h"
 #include "core/online_sc.h"
@@ -276,6 +277,27 @@ TEST(PolicyRunner, DetectsDropOfLastCopy) {
   DropAll p;
   const auto res = run_policy(seq, cm, p);
   EXPECT_FALSE(res.feasible);
+}
+
+TEST(PolicyRunner, PolicyObjectRunsOnce) {
+  // The stream ends away from the origin, so a reused policy would start
+  // its second run from server 2 while the runner puts the copy on 0.
+  const CostModel cm(1.0, 1.0);
+  const RequestSequence seq(3, {{1, 1.0}, {2, 2.5}, {1, 3.0}, {2, 6.0}});
+  ScSimPolicy policy(cm, seq.origin());
+  const auto first = run_policy(seq, cm, policy);
+  ASSERT_TRUE(first.feasible);
+  try {
+    run_policy(seq, cm, policy);
+    ADD_FAILURE() << "a second run of one policy object did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find(policy.name()), std::string::npos)
+        << e.what();
+  }
+  ScSimPolicy fresh(cm, seq.origin());
+  const auto again = run_policy(seq, cm, fresh);
+  EXPECT_TRUE(again.feasible);
+  EXPECT_EQ(again.total_cost, first.total_cost);
 }
 
 // ---------------- Failure injection ----------------

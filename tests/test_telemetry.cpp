@@ -195,43 +195,43 @@ TEST(LatencyHistogram, ConcurrentRecordingIsRaceFree) {
 
 // ---- rings -----------------------------------------------------------------
 
-TEST(SampleRing, WrapAroundKeepsNewest) {
-  obs::SampleRing ring(4);
+TEST(Ring, SampleWrapAroundKeepsNewest) {
+  obs::Ring<obs::TimeSample> ring(4);
   EXPECT_EQ(ring.capacity(), 4u);
   for (std::uint64_t i = 0; i < 10; ++i) {
-    ring.push(i * 100, static_cast<double>(i));
+    ring.push({i * 100, static_cast<double>(i)});
   }
   EXPECT_EQ(ring.seen(), 10u);
-  const auto samples = ring.samples();
+  const auto samples = ring.items();
   ASSERT_EQ(samples.size(), 4u);
   // Oldest-first among the retained tail: 6, 7, 8, 9.
   for (std::size_t k = 0; k < 4; ++k) {
     EXPECT_EQ(samples[k].t_ns, (6 + k) * 100);
     EXPECT_EQ(samples[k].value, static_cast<double>(6 + k));
   }
-  EXPECT_THROW(obs::SampleRing(0), std::invalid_argument);
+  EXPECT_THROW(obs::Ring<obs::TimeSample>(0), std::invalid_argument);
 }
 
-TEST(SpanRing, WrapAroundKeepsNewest) {
-  obs::SpanRing ring(3);
+TEST(Ring, SpanWrapAroundKeepsNewest) {
+  obs::Ring<obs::TelemetrySpan> ring(3);
   for (std::uint64_t i = 0; i < 5; ++i) {
     ring.push({"stage", i, 10 + i, i});
   }
   EXPECT_EQ(ring.seen(), 5u);
-  const auto spans = ring.spans();
+  const auto spans = ring.items();
   ASSERT_EQ(spans.size(), 3u);
   EXPECT_EQ(spans[0].start_ns, 2u);
   EXPECT_EQ(spans[2].start_ns, 4u);
   EXPECT_EQ(spans[2].dur_ns, 14u);
   EXPECT_STREQ(spans[2].name, "stage");
-  EXPECT_THROW(obs::SpanRing(0), std::invalid_argument);
+  EXPECT_THROW(obs::Ring<obs::TelemetrySpan>(0), std::invalid_argument);
 }
 
-TEST(SampleRing, PartialFillReturnsOnlyPushed) {
-  obs::SampleRing ring(8);
-  ring.push(1, 1.0);
-  ring.push(2, 2.0);
-  const auto samples = ring.samples();
+TEST(Ring, PartialFillReturnsOnlyPushed) {
+  obs::Ring<obs::TimeSample> ring(8);
+  ring.push({1, 1.0});
+  ring.push({2, 2.0});
+  const auto samples = ring.items();
   ASSERT_EQ(samples.size(), 2u);
   EXPECT_EQ(samples[0].t_ns, 1u);
   EXPECT_EQ(samples[1].t_ns, 2u);
@@ -367,10 +367,6 @@ TEST(Prometheus, GoldenExposition) {
   obs::MetricsRegistry reg;
   reg.counter("cache_hits").inc(3);
   reg.gauge("queue_depth").set(2.5);
-  auto& h = reg.histogram("batch_size", {1.0, 2.0});
-  h.observe(1.0);
-  h.observe(1.5);
-  h.observe(9.0);
   auto& lat = reg.latency("e2e_ns");
   lat.record(1);    // bucket 0: [0, 2)
   lat.record(3);    // bucket 1: [2, 4)
@@ -380,12 +376,6 @@ TEST(Prometheus, GoldenExposition) {
             "cache_hits 3\n"
             "# TYPE queue_depth gauge\n"
             "queue_depth 2.5\n"
-            "# TYPE batch_size histogram\n"
-            "batch_size_bucket{le=\"1\"} 1\n"
-            "batch_size_bucket{le=\"2\"} 2\n"
-            "batch_size_bucket{le=\"+Inf\"} 3\n"
-            "batch_size_sum 11.5\n"
-            "batch_size_count 3\n"
             "# TYPE e2e_ns histogram\n"
             "e2e_ns_bucket{le=\"2\"} 1\n"
             "e2e_ns_bucket{le=\"4\"} 2\n"
@@ -410,8 +400,8 @@ TEST(TelemetryAllocation, SteadyStateRecordingIsAllocationFree) {
   obs::Counter& counter = reg.counter("engine_shard0_requests");
   obs::Gauge& gauge = reg.gauge("engine_shard0_queue_depth");
   obs::LatencyHistogram& hist = reg.latency("engine_shard0_e2e_ns");
-  obs::SampleRing samples(1024);
-  obs::SpanRing spans(1024);
+  obs::Ring<obs::TimeSample> samples(1024);
+  obs::Ring<obs::TelemetrySpan> spans(1024);
 
   // ...then prove the steady state is allocation-free: 100k iterations of
   // every telemetry write the shard workers and producers perform.
@@ -422,7 +412,7 @@ TEST(TelemetryAllocation, SteadyStateRecordingIsAllocationFree) {
     hist.record(i % 5000);
     counter.inc(3);
     gauge.set(static_cast<double>(i % 64));
-    samples.push(t, static_cast<double>(i));
+    samples.push({t, static_cast<double>(i)});
     spans.push({"apply", t, 100, 1});
   }
   g_count_allocs.store(false, std::memory_order_release);

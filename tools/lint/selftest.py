@@ -130,13 +130,14 @@ def main():
           f"real tree must lint clean, got exit {proc.returncode}:\n"
           f"{proc.stdout}{proc.stderr}")
     roots = report["annotation_roots"]
-    # lock_free = 6 pins the SPSC ring trio (try_push / try_push_span /
-    # consume_all) alongside the three obs rings (StreamingEngine::
-    # credit_throttle, the seventh root, was deleted with the credit
-    # window): deleting a ring annotation fails this gate, per the
-    # ingest-fast-path contract. no_alloc/hot_path floors track the same
-    # hot entry points.
-    for tag, floor in (("no_alloc", 9), ("lock_free", 6),
+    # lock_free = 5 pins the SPSC ring trio (try_push / try_push_span /
+    # consume_all) alongside LatencyHistogram::record and the one obs
+    # telemetry ring, Ring<T>::push (StreamingEngine::credit_throttle was
+    # deleted with the credit window; SampleRing::push and SpanRing::push
+    # merged into Ring<T>::push, which removed the SpanRing::push root):
+    # deleting a ring annotation fails this gate, per the ingest-fast-path
+    # contract. no_alloc/hot_path floors track the same hot entry points.
+    for tag, floor in (("no_alloc", 9), ("lock_free", 5),
                        ("deterministic", 6), ("hot_path", 9),
                        ("alloc_ok", 2)):
         check(len(roots.get(tag, [])) >= floor,
